@@ -1,7 +1,8 @@
 // Component micro-benchmarks (google-benchmark): the real host-side costs
 // behind the simulator — CPU compaction throughput (formula (2)'s Thpt_cpt),
-// kernel edge-relaxation throughput, frontier/bitmap operations, partition
-// stats construction, and RMAT generation.
+// kernel edge-relaxation throughput, the thread pool's fork-join round
+// trip, frontier/bitmap operations, partition stats construction, and RMAT
+// generation.
 
 #include <benchmark/benchmark.h>
 
@@ -12,6 +13,7 @@
 #include "graph/rmat_generator.h"
 #include "sim/pcie_model.h"
 #include "util/atomic_bitmap.h"
+#include "util/thread_pool.h"
 
 namespace hytgraph {
 namespace {
@@ -61,7 +63,39 @@ void BM_KernelRelaxation(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<int64_t>(edges));
 }
-BENCHMARK(BM_KernelRelaxation)->Arg(1)->Arg(16);
+// Kernels and the pool run on several threads: rates use wall time, not
+// the calling thread's CPU time.
+BENCHMARK(BM_KernelRelaxation)->Arg(1)->Arg(16)->UseRealTime();
+
+// Dense PageRank push: every vertex active with its initial delta, so
+// nearly every edge improves its target — the per-edge activation cost the
+// accumulation family pays.
+void BM_PageRankDenseKernel(benchmark::State& state) {
+  const CsrGraph& graph = BenchGraph();
+  const auto actives = EveryKthVertex(graph, 1);
+  uint64_t edges = 0;
+  for (auto _ : state) {
+    PageRankProgram program(graph);
+    Frontier next(graph.num_vertices());
+    edges += RunKernel(graph, actives, program, &next);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(edges));
+}
+BENCHMARK(BM_PageRankDenseKernel)->UseRealTime();
+
+// One empty batch on the default pool with a shard per thread: the
+// fork-join cost every kernel launch pays before any edge work.
+void BM_ParallelForRoundTrip(benchmark::State& state) {
+  ThreadPool* pool = ThreadPool::Default();
+  const auto shards = static_cast<uint64_t>(pool->num_threads());
+  for (auto _ : state) {
+    pool->ParallelFor(
+        shards, [](int /*shard*/, uint64_t /*begin*/, uint64_t /*end*/) {},
+        /*min_grain=*/1);
+  }
+  state.counters["threads"] = static_cast<double>(shards);
+}
+BENCHMARK(BM_ParallelForRoundTrip)->UseRealTime();
 
 void BM_PartitionStatsBuild(benchmark::State& state) {
   const CsrGraph& graph = BenchGraph();

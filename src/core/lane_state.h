@@ -66,29 +66,25 @@ struct LaneState {
 };
 
 /// The activation sink lane kernels write through (the `Sink` parameter of
-/// RunKernel / RunKernelOnSubCsr). Also forwards the Deactivate /
-/// CollectRange surface RunExtraRounds consumes — extra rounds only touch
-/// vertices inside the lane's own partitions, so they never interact with
-/// the outboxes.
+/// RunKernel / RunKernelOnSubCsr, via ShardActivations). Also forwards the
+/// MarkInactive / CollectRange surface RunExtraRounds consumes — extra
+/// rounds only touch vertices inside the lane's own partitions, so they
+/// never interact with the outboxes.
 class LaneSink {
  public:
   LaneSink(LaneState* lane, std::span<const VertexId> lane_starts)
       : lane_(lane), lane_starts_(lane_starts) {}
 
-  bool Activate(VertexId v, EdgeId out_degree) {
-    if (!lane_->local.Activate(v, out_degree)) return false;
+  bool MarkActive(VertexId v) {
+    if (!lane_->local.MarkActive(v)) return false;
     Route(v);
     return true;
   }
 
-  bool Activate(VertexId v) {
-    if (!lane_->local.Activate(v)) return false;
-    Route(v);
-    return true;
-  }
+  bool MarkInactive(VertexId v) { return lane_->local.MarkInactive(v); }
 
-  void Deactivate(VertexId v, EdgeId out_degree) {
-    lane_->local.Deactivate(v, out_degree);
+  void AddCounts(int64_t active, int64_t scout) {
+    lane_->local.AddCounts(active, scout);
   }
 
   void CollectRange(VertexId first, VertexId last,

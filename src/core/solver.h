@@ -252,12 +252,12 @@ class Solver {
           if (options_.direction == TraversalDirection::kAuto) {
             // Beamer-style hybrid: m_f from the view-adjusted degrees (the
             // same estimate the cost formulas consume), n_f from the O(1)
-            // frontier count. The push kernels maintain m_f incrementally
-            // (Frontier's scout count), so steady-state push iterations
-            // read it in O(1); the O(n_f) bitmap scan remains only as the
+            // frontier count. The kernels maintain m_f incrementally
+            // (Frontier's scout count), so steady-state iterations read it
+            // in O(1); the O(n_f) bitmap scan remains only as the
             // fallback for frontiers a scout-blind producer touched
-            // (InitFrontier, the pull kernel) — scout-valid frontiers
-            // carry exactly the sum the scan would compute.
+            // (InitFrontier) — scout-valid frontiers carry exactly the
+            // sum the scan would compute.
             frontier_edges =
                 options_.incremental_scout_count && current->ScoutValid()
                     ? current->ScoutCount()
@@ -590,23 +590,24 @@ class Solver {
     // the vertices it owns into the global next frontier — its own range
     // from its local bitmap plus every peer's outbox addressed to it.
     // Owner-only publication keeps the shared bitmap's words near-disjoint
-    // (only range-boundary words are shared), and the degree-carrying
-    // Activate keeps the scout count exact for the next direction
-    // decision. Activation is idempotent set semantics, so the merged
-    // bitmap and scout sum are independent of lane interleaving.
+    // (only range-boundary words are shared), and ShardActivations keeps
+    // the scout count exact for the next direction decision with one
+    // count update per lane. Activation is idempotent set semantics, so
+    // the merged bitmap and scout sum are independent of lane
+    // interleaving.
     team->Run([&](int l) {
       LaneState& lane = *(*lanes)[l];
+      ShardActivations<Frontier> activations(view_, next);
       for (size_t m = 0; m < lanes->size(); ++m) {
         if (static_cast<int>(m) == l) continue;
         for (const VertexId v : (*lanes)[m]->outbox[l]) {
-          next->Activate(v, view_.out_degree(v));
+          activations.Activate(v);
         }
       }
       lane.merge_scratch.clear();
       lane.local.CollectRange(lane.v_begin, lane.v_end, &lane.merge_scratch);
-      for (const VertexId v : lane.merge_scratch) {
-        next->Activate(v, view_.out_degree(v));
-      }
+      for (const VertexId v : lane.merge_scratch) activations.Activate(v);
+      activations.Publish();
     });
 
     double sim = 0;
@@ -643,8 +644,8 @@ class Solver {
   /// One pull iteration under parallel lanes: the coordinator computes the
   /// deterministic iteration floor, then each lane scans its owned
   /// candidate slice. Candidates are own-range by construction, so lanes
-  /// write the global next frontier owner-only with the sequential pull
-  /// kernel's plain (scout-invalidating) activations — no outboxes needed.
+  /// write the global next frontier owner-only through the sequential pull
+  /// kernel's range scan (one count update per lane) — no outboxes needed.
   IterationTrace RunParallelPullIteration(
       LaneTeam* team, std::vector<std::unique_ptr<LaneState>>* lanes,
       const Frontier& current, Frontier* next, uint64_t frontier_edges,
@@ -867,20 +868,16 @@ class Solver {
                                ? options_.max_local_rounds
                                : options_.extra_rounds;
     uint64_t edges = 0;
+    std::vector<VertexId> pending;
     for (int round = 0; round < max_rounds; ++round) {
-      std::vector<VertexId> pending;
+      pending.clear();
       for (uint32_t p : task.partitions) {
         const Partition& part = partitions_[p];
-        std::vector<VertexId> in_range;
-        next->CollectRange(part.first_vertex, part.last_vertex, &in_range);
-        for (VertexId v : in_range) {
-          if (membership == nullptr ||
-              std::binary_search(membership->begin(), membership->end(), v)) {
-            next->Deactivate(v, view_.out_degree(v));
-            pending.push_back(v);
-          }
-        }
+        next->CollectRange(part.first_vertex, part.last_vertex, &pending);
       }
+      // Task partitions ascend, so `pending` does, as does `membership`
+      // (their actives, concatenated).
+      DrainPending(view_, membership, &pending, next);
       if (pending.empty()) break;
       edges += RunKernel(view_, pending, *program, next);
     }

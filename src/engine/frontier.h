@@ -5,25 +5,27 @@
 // the bitmap, pull engines scan the bitmap words directly (no list
 // materialization).
 //
-// The active count is maintained incrementally on Activate/Deactivate, so
-// CountActive()/Empty() are O(1) instead of an O(V/64) popcount per call —
-// the per-iteration direction decision and the convergence check read it
-// every iteration. Cost: one extra relaxed fetch_add on a shared counter
-// per *newly activated* vertex (re-activations are filtered by the bitmap's
-// test-before-RMW). If the counter line ever shows up in kernel profiles,
-// per-shard counters merged at kernel end are the next step; the dedicated
-// line has not been measurable next to the per-edge relaxation work so far.
+// The active count is maintained incrementally, so CountActive()/Empty()
+// are O(1) instead of an O(V/64) popcount per call — the per-iteration
+// direction decision and the convergence check read it every iteration.
+// Single activations (Activate/Deactivate) update the shared counter
+// directly. The kernels and the extra-round drain instead flip bits with
+// MarkActive/MarkInactive, tally the flips in shard-local counters, and
+// publish the tally with one AddCounts per shard, so the counter lines
+// take a handful of adds per kernel rather than an RMW per activation.
+// The counts are exact once every shard has published, i.e. after the
+// kernel returns.
 //
 // The frontier also tracks the *scout count* (Beamer's term): the sum of
 // view-adjusted out-degrees of the active vertices — the m_f the auto
-// push->pull direction decision compares against |E|/alpha. Producers that
-// know the activated vertex's out-degree (the push kernels) maintain it
-// incrementally via Activate(v, degree); producers that do not (program
-// InitFrontier hooks, the pull kernel's local activation) use the plain
-// overloads, which mark the scout count invalid — the solver then falls
-// back to the O(n_f) FrontierActiveEdges bitmap scan for that one decision
-// instead of trusting a stale sum. Steady-state push iterations therefore
-// pay no per-iteration scan at all.
+// push->pull direction decision compares against |E|/alpha. The kernels
+// keep it exact: they read a vertex's out-degree when its bit flips and
+// publish the sum with the active count. Producers that do not know the
+// degree (program InitFrontier hooks) use the plain Activate, which marks
+// the scout count invalid — the solver then falls back to the O(n_f)
+// FrontierActiveEdges bitmap scan for that one decision instead of
+// trusting a stale sum. Steady-state iterations therefore pay no
+// per-iteration scan at all.
 
 #ifndef HYTGRAPH_ENGINE_FRONTIER_H_
 #define HYTGRAPH_ENGINE_FRONTIER_H_
@@ -57,20 +59,7 @@ class Frontier {
     return true;
   }
 
-  /// Thread-safe activation that maintains the scout count: `out_degree`
-  /// must be v's out-degree in the view this frontier spans (the same
-  /// degrees FrontierActiveEdges would sum). Returns true if v was newly
-  /// activated.
-  bool Activate(VertexId v, EdgeId out_degree) {
-    if (!bitmap_.TestAndSet(v)) return false;
-    active_count_.fetch_add(1, std::memory_order_relaxed);
-    scout_count_.fetch_add(out_degree, std::memory_order_relaxed);
-    return true;
-  }
-
-  /// Thread-safe deactivation (used when a vertex's pending update is
-  /// consumed by an extra asynchronous round). Invalidates the scout count;
-  /// use the degree-carrying overload to keep it exact.
+  /// Thread-safe deactivation. Invalidates the scout count.
   void Deactivate(VertexId v) {
     if (bitmap_.TestAndClear(v)) {
       scout_valid_.store(false, std::memory_order_relaxed);
@@ -78,12 +67,27 @@ class Frontier {
     }
   }
 
-  /// Scout-maintaining deactivation; `out_degree` as in Activate.
-  void Deactivate(VertexId v, EdgeId out_degree) {
-    if (bitmap_.TestAndClear(v)) {
-      active_count_.fetch_sub(1, std::memory_order_relaxed);
-      scout_count_.fetch_sub(out_degree, std::memory_order_relaxed);
-    }
+  /// Thread-safe bit set that leaves the counts alone; returns true if v
+  /// was newly activated. The caller owes the counts: it tallies every
+  /// true return with v's out-degree (as in the view this frontier spans,
+  /// the degrees FrontierActiveEdges would sum) and publishes the tally
+  /// through AddCounts.
+  bool MarkActive(VertexId v) { return bitmap_.TestAndSet(v); }
+
+  /// Mirror of MarkActive: clears v's bit, true if it was set; the caller
+  /// publishes the negative tally.
+  bool MarkInactive(VertexId v) { return bitmap_.TestAndClear(v); }
+
+  /// Publishes one producer's tally of MarkActive/MarkInactive flips:
+  /// `active` net bits set and `scout` the net sum of their out-degrees
+  /// (both negative for a drain). Keeps the scout count exact.
+  void AddCounts(int64_t active, int64_t scout) {
+    // Two's-complement wrap: adding the unsigned image of a negative
+    // delta subtracts it.
+    active_count_.fetch_add(static_cast<uint64_t>(active),
+                            std::memory_order_relaxed);
+    scout_count_.fetch_add(static_cast<uint64_t>(scout),
+                           std::memory_order_relaxed);
   }
 
   bool IsActive(VertexId v) const { return bitmap_.Test(v); }
@@ -94,9 +98,10 @@ class Frontier {
   }
   bool Empty() const { return CountActive() == 0; }
 
-  /// True while every activation/deactivation since the last Clear carried
-  /// its out-degree — i.e. ScoutCount() equals the FrontierActiveEdges
-  /// bitmap scan exactly.
+  /// True while every activation/deactivation since the last Clear was
+  /// counted through AddCounts — i.e. ScoutCount() equals the
+  /// FrontierActiveEdges bitmap scan exactly (once the producers have
+  /// published).
   bool ScoutValid() const {
     return scout_valid_.load(std::memory_order_relaxed);
   }

@@ -55,19 +55,43 @@ concept PullCapableProgram =
       { p.SettledAt(v, P::WorstBound()) } -> std::convertible_to<bool>;
     };
 
-/// Relaxes all out-edges of every vertex in `actives` against `view`,
-/// activating changed targets in `next`. Returns the number of edges
-/// processed (the kernel-time unit).
+/// One shard's activations into a next frontier. An activation sets the
+/// target's bit first and reads its view-adjusted out-degree only when the
+/// bit flipped, so re-activations stop at the bitmap's read-only test.
+/// Publish hands the shard's active and scout totals to the frontier in
+/// one AddCounts, which keeps `next`'s scout count (activated out-edges,
+/// Beamer's m_f) exact — the auto direction decision reads it in O(1)
+/// instead of rescanning the bitmap.
 ///
-/// Activations carry the target's view-adjusted out-degree, so `next`'s
-/// scout count (activated out-edges, Beamer's m_f) stays exact — the auto
-/// direction decision reads it in O(1) instead of rescanning the bitmap.
-/// The degree lookup runs once per *newly activated* vertex (the bitmap
-/// filters re-activations), not per edge.
-///
-/// `Sink` is anything with Frontier's Activate(v) / Activate(v, degree)
-/// surface: the global Frontier on the sequential path, a lane-local sink
+/// `Sink` is anything with Frontier's MarkActive / AddCounts surface: the
+/// global Frontier on the sequential path, a lane-local sink
 /// (core/lane_state.h) under parallel partition execution.
+template <typename Sink>
+class ShardActivations {
+ public:
+  ShardActivations(const GraphView& view, Sink* next)
+      : view_(view), next_(next) {}
+
+  void Activate(VertexId v) {
+    if (!next_->MarkActive(v)) return;
+    ++active_;
+    scout_ += static_cast<int64_t>(view_.out_degree(v));
+  }
+
+  void Publish() {
+    if (active_ != 0) next_->AddCounts(active_, scout_);
+  }
+
+ private:
+  const GraphView& view_;
+  Sink* next_;
+  int64_t active_ = 0;
+  int64_t scout_ = 0;
+};
+
+/// Relaxes all out-edges of every vertex in `actives` against `view`,
+/// activating changed targets in `next` (see ShardActivations). Returns
+/// the number of edges processed (the kernel-time unit).
 template <typename Program, typename Sink = Frontier>
 uint64_t RunKernel(const GraphView& view, std::span<const VertexId> actives,
                    Program& program, Sink* next) {
@@ -77,6 +101,7 @@ uint64_t RunKernel(const GraphView& view, std::span<const VertexId> actives,
       actives.size(),
       [&](int /*shard*/, uint64_t begin, uint64_t end) {
         uint64_t local_edges = 0;
+        ShardActivations<Sink> activations(view, next);
         // One lease per shard: active lists are sorted ascending, so an
         // out-of-core base pays one cache acquire per block, not per vertex.
         BlockRef lease;
@@ -88,9 +113,7 @@ uint64_t RunKernel(const GraphView& view, std::span<const VertexId> actives,
             // Merged adjacency: surviving base edges, then overlay inserts.
             view.ForEachNeighborLeased(u, &lease, [&](VertexId v, Weight w) {
               ++local_edges;
-              if (program.ProcessEdge(ctx, u, v, w)) {
-                next->Activate(v, view.out_degree(v));
-              }
+              if (program.ProcessEdge(ctx, u, v, w)) activations.Activate(v);
             });
             continue;
           }
@@ -103,21 +126,51 @@ uint64_t RunKernel(const GraphView& view, std::span<const VertexId> actives,
           if (wts.empty()) {
             for (const VertexId v : nbrs) {
               if (program.ProcessEdge(ctx, u, v, Weight{1})) {
-                next->Activate(v, view.out_degree(v));
+                activations.Activate(v);
               }
             }
           } else {
             for (size_t e = 0; e < nbrs.size(); ++e) {
               if (program.ProcessEdge(ctx, u, nbrs[e], wts[e])) {
-                next->Activate(nbrs[e], view.out_degree(nbrs[e]));
+                activations.Activate(nbrs[e]);
               }
             }
           }
         }
+        activations.Publish();
         edges_processed.fetch_add(local_edges, std::memory_order_relaxed);
       },
       /*min_grain=*/64);
   return edges_processed.load();
+}
+
+/// The extra-round drain: `pending` holds active vertices of `next`,
+/// ascending. Keeps only those in `membership` (ascending; null keeps
+/// all), clears them from `next`, and publishes the removal with one
+/// AddCounts. The caller then re-runs the kernel over `pending`. No kernel
+/// may write `next` during the drain.
+template <typename Sink>
+void DrainPending(const GraphView& view,
+                  const std::vector<VertexId>* membership,
+                  std::vector<VertexId>* pending, Sink* next) {
+  if (membership != nullptr) {
+    // Both lists ascend, so one forward walk filters.
+    auto member = membership->begin();
+    size_t kept = 0;
+    for (const VertexId v : *pending) {
+      while (member != membership->end() && *member < v) ++member;
+      if (member != membership->end() && *member == v) (*pending)[kept++] = v;
+    }
+    pending->resize(kept);
+  }
+  int64_t scout = 0;
+  for (const VertexId v : *pending) {
+    next->MarkInactive(v);
+    scout += static_cast<int64_t>(view.out_degree(v));
+  }
+  if (!pending->empty()) {
+    next->AddCounts(-static_cast<int64_t>(pending->size()), -scout);
+  }
 }
 
 /// CsrGraph convenience overload (static callers, tests): a transparent
@@ -139,9 +192,9 @@ uint64_t RunKernel(const CsrGraph& graph, std::span<const VertexId> actives,
 /// earlier or later than under push (monotonicity makes either schedule
 /// converge to the same values). The wins are structural:
 ///
-///  * next-frontier maintenance is one local Activate per *changed
-///    candidate* instead of one atomic per improving edge (the dense-
-///    iteration contention the bitmap-directed frontier tries to contain);
+///  * next-frontier maintenance is one bit set per *changed candidate*
+///    instead of one per improving edge (the dense-iteration contention
+///    the bitmap-directed frontier tries to contain);
 ///  * a candidate already at the iteration floor — the best potential any
 ///    frontier vertex holds, a conservative bound on every offer — skips
 ///    its scan entirely, and a candidate that reaches the floor mid-scan
@@ -188,8 +241,9 @@ typename Program::PullBound PullIterationFloor(const Frontier& current,
 /// Serial pull gather over the candidate range [v_begin, v_end) against a
 /// precomputed iteration floor. The parallel-lane pull path hands each lane
 /// a disjoint candidate slice of this scan; RunPullKernel composes it with
-/// pool sharding for the sequential path. Activations into `next` are plain
-/// Activate(v) (scout-invalidating — pull iterations rebuild m_f by scan).
+/// pool sharding for the sequential path. Activations into `next` go
+/// through ShardActivations, so the slice publishes its totals once and
+/// the scout count stays exact across pull iterations too.
 template <typename Program>
   requires PullCapableProgram<Program>
 uint64_t RunPullKernelRange(const GraphView& view, const Frontier& current,
@@ -200,6 +254,7 @@ uint64_t RunPullKernelRange(const GraphView& view, const Frontier& current,
   // One lease for the whole slice: the dense ascending scan re-pins the
   // transpose block only on boundary crossings when it streams.
   BlockRef lease;
+  ShardActivations<Frontier> activations(view, next);
   for (VertexId v = v_begin; v < v_end; ++v) {
     if (program.SettledAt(v, floor)) continue;
     bool changed = false;
@@ -216,8 +271,9 @@ uint64_t RunPullKernelRange(const GraphView& view, const Frontier& current,
       }
       return true;
     });
-    if (changed) next->Activate(v);
+    if (changed) activations.Activate(v);
   }
+  activations.Publish();
   return local_edges;
 }
 
@@ -247,7 +303,7 @@ uint64_t RunPullKernel(const GraphView& view, const Frontier& current,
 
 /// Same as RunKernel but over a compacted subgraph (Subway-style GPU-side
 /// processing of the shipped sub-CSR). Identical relaxation semantics.
-/// `view` is the graph the sub-CSR was compacted from — activations carry
+/// `view` is the graph the sub-CSR was compacted from — activations read
 /// its degrees so the scout count stays exact (targets can lie outside the
 /// compacted vertex set, so the sub-CSR's own offsets can't supply them).
 template <typename Program, typename Sink = Frontier>
@@ -259,6 +315,7 @@ uint64_t RunKernelOnSubCsr(const GraphView& view, const SubCsr& sub,
       sub.vertices.size(),
       [&](int /*shard*/, uint64_t begin, uint64_t end) {
         uint64_t local_edges = 0;
+        ShardActivations<Sink> activations(view, next);
         for (uint64_t i = begin; i < end; ++i) {
           const VertexId u = sub.vertices[i];
           typename Program::VertexContext ctx;
@@ -269,11 +326,11 @@ uint64_t RunKernelOnSubCsr(const GraphView& view, const SubCsr& sub,
           for (EdgeId e = lo; e < hi; ++e) {
             const Weight w = sub.weights.empty() ? Weight{1} : sub.weights[e];
             if (program.ProcessEdge(ctx, u, sub.column_index[e], w)) {
-              next->Activate(sub.column_index[e],
-                             view.out_degree(sub.column_index[e]));
+              activations.Activate(sub.column_index[e]);
             }
           }
         }
+        activations.Publish();
         edges_processed.fetch_add(local_edges, std::memory_order_relaxed);
       },
       /*min_grain=*/64);

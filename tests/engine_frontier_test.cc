@@ -113,5 +113,48 @@ TEST(FrontierTest, ConcurrentActivationExactlyOneWinner) {
   EXPECT_EQ(f.CountActive(), f.num_vertices());
 }
 
+TEST(FrontierTest, MarkedBitsAreCountedOnlyThroughAddCounts) {
+  Frontier f(256);
+  EXPECT_TRUE(f.MarkActive(3));
+  EXPECT_FALSE(f.MarkActive(3));
+  EXPECT_TRUE(f.MarkActive(200));
+  EXPECT_TRUE(f.IsActive(3));
+  EXPECT_EQ(f.CountActive(), 0u);  // the producer has not published yet
+  f.AddCounts(2, 7 + 5);
+  EXPECT_EQ(f.CountActive(), 2u);
+  EXPECT_TRUE(f.ScoutValid());
+  EXPECT_EQ(f.ScoutCount(), 12u);
+  EXPECT_TRUE(f.MarkInactive(3));
+  EXPECT_FALSE(f.MarkInactive(3));
+  f.AddCounts(-1, -7);  // a drain publishes negative totals
+  EXPECT_EQ(f.CountActive(), 1u);
+  EXPECT_EQ(f.ScoutCount(), 5u);
+}
+
+TEST(FrontierTest, ConcurrentProducersPublishExactTotals) {
+  // Eight producers race on every bit; each tallies its own wins and
+  // publishes once, so the totals count every vertex exactly once.
+  Frontier f(1 << 12);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 8; ++t) {
+    threads.emplace_back([&] {
+      int64_t active = 0;
+      int64_t scout = 0;
+      for (VertexId v = 0; v < f.num_vertices(); ++v) {
+        if (f.MarkActive(v)) {
+          ++active;
+          scout += v % 5;  // a stand-in out-degree
+        }
+      }
+      f.AddCounts(active, scout);
+    });
+  }
+  for (auto& th : threads) th.join();
+  uint64_t expected_scout = 0;
+  for (VertexId v = 0; v < f.num_vertices(); ++v) expected_scout += v % 5;
+  EXPECT_EQ(f.CountActive(), f.num_vertices());
+  EXPECT_EQ(f.ScoutCount(), expected_scout);
+}
+
 }  // namespace
 }  // namespace hytgraph

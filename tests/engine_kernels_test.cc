@@ -2,12 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "algorithms/programs.h"
 #include "dynamic/delta_overlay.h"
 #include "dynamic/mutation.h"
+#include "engine/partition_state.h"
 #include "test_graphs.h"
 
 namespace hytgraph {
@@ -219,6 +223,135 @@ TEST(PullKernelTest, PullsOverTheReverseOverlay) {
   EXPECT_EQ(values[1], 2u);            // 0 -> 1 (weight 2)
   EXPECT_EQ(values[2], kUnreachable);  // 1 -> 2 deleted
   EXPECT_EQ(values[3], 9u);            // via the inserted 0 -> 3
+}
+
+// --- Per-shard frontier accounting ---------------------------------------
+// Kernel shards set bits first and publish their active and scout totals
+// once per shard; after every kernel and every extra-round drain the
+// frontier's O(1) counts must equal a rescan of its bitmap.
+
+void ExpectCountsMatchBitmap(const GraphView& view, const Frontier& frontier,
+                             const std::string& what) {
+  EXPECT_EQ(frontier.CountActive(), frontier.Collect().size()) << what;
+  EXPECT_TRUE(frontier.ScoutValid()) << what;
+  EXPECT_EQ(frontier.ScoutCount(), FrontierActiveEdges(view, frontier))
+      << what;
+}
+
+enum class KernelPath { kBase, kSubCsr };
+
+/// Runs push iterations of `program` over `view`, each followed by an
+/// extra-round drain of the lower half of the vertex space (restricted to
+/// the iteration's actives on the sub-CSR path, as compaction tasks are)
+/// and a kernel over the drained set, checking the counts after each step.
+template <typename Program>
+void RunCheckingCounts(const GraphView& view, Program& program,
+                       KernelPath path, const std::string& name) {
+  Frontier a(view), b(view);
+  Frontier* current = &a;
+  Frontier* next = &b;
+  program.InitFrontier(current);
+  size_t widest = 0;
+  for (int iter = 0; iter < 8 && !current->Empty(); ++iter) {
+    const std::string what = name + " iteration " + std::to_string(iter);
+    const std::vector<VertexId> actives = current->Collect();
+    widest = std::max(widest, actives.size());
+    if (path == KernelPath::kSubCsr) {
+      const auto compact = CompactActiveEdges(
+          view, actives, Program::kNeedsWeights && view.is_weighted());
+      RunKernelOnSubCsr(view, compact.sub, program, next);
+    } else {
+      RunKernel(view, actives, program, next);
+    }
+    ExpectCountsMatchBitmap(view, *next, what + " kernel");
+
+    std::vector<VertexId> pending;
+    next->CollectRange(0, view.num_vertices() / 2, &pending);
+    DrainPending(view, path == KernelPath::kSubCsr ? &actives : nullptr,
+                 &pending, next);
+    ExpectCountsMatchBitmap(view, *next, what + " drain");
+    RunKernel(view, pending, program, next);
+    ExpectCountsMatchBitmap(view, *next, what + " extra round");
+
+    std::swap(current, next);
+    next->Clear();
+  }
+  // Kernels shard at 64 actives: a wider frontier ran on several shards
+  // wherever the pool has more than one thread.
+  EXPECT_GT(widest, 4u * 64u) << name;
+}
+
+/// Scale-12 RMAT with an overlay that gives a third of the vertices an
+/// inserted edge and a fifth a deleted one: kernels take the merged
+/// delta-vertex path for those.
+GraphView DeltaView(std::shared_ptr<const CsrGraph> base) {
+  const VertexId n = base->num_vertices();
+  MutationBatch batch;
+  for (VertexId v = 0; v < n; v += 3) {
+    batch.InsertEdge(v, (v * 7 + 1) % n, 1 + v % 9);
+  }
+  for (VertexId v = 1; v < n; v += 5) {
+    const auto nbrs = base->neighbors(v);
+    if (!nbrs.empty()) batch.DeleteEdge(v, nbrs[0]);
+  }
+  auto overlay = std::make_shared<DeltaOverlay>(base);
+  HYT_CHECK(overlay->Apply(batch).ok());
+  return GraphView(base, overlay);
+}
+
+TEST(KernelCountsTest, BfsCountsMatchBitmapOnEveryPath) {
+  auto base = std::make_shared<const CsrGraph>(testing::SmallRmat(12));
+  const GraphView plain(base);
+  const GraphView delta = DeltaView(base);
+  ASSERT_TRUE(delta.has_overlay());
+  {
+    BfsProgram program(plain, 0);
+    RunCheckingCounts(plain, program, KernelPath::kBase, "bfs/base");
+  }
+  {
+    BfsProgram program(delta, 0);
+    RunCheckingCounts(delta, program, KernelPath::kBase, "bfs/delta");
+  }
+  {
+    BfsProgram program(plain, 0);
+    RunCheckingCounts(plain, program, KernelPath::kSubCsr, "bfs/sub-csr");
+  }
+}
+
+TEST(KernelCountsTest, PageRankCountsMatchBitmapOnEveryPath) {
+  auto base = std::make_shared<const CsrGraph>(testing::SmallRmat(12));
+  const GraphView plain(base);
+  const GraphView delta = DeltaView(base);
+  ASSERT_TRUE(delta.has_overlay());
+  {
+    PageRankProgram program(plain);
+    RunCheckingCounts(plain, program, KernelPath::kBase, "pr/base");
+  }
+  {
+    PageRankProgram program(delta);
+    RunCheckingCounts(delta, program, KernelPath::kBase, "pr/delta");
+  }
+  {
+    PageRankProgram program(plain);
+    RunCheckingCounts(plain, program, KernelPath::kSubCsr, "pr/sub-csr");
+  }
+}
+
+TEST(KernelCountsTest, PullKernelKeepsTheScoutCountExact) {
+  const CsrGraph g = testing::SmallRmat(12);
+  const GraphView view = GraphView::Wrap(g);
+  BfsProgram program(view, 0);
+  Frontier a(view), b(view);
+  Frontier* current = &a;
+  Frontier* next = &b;
+  program.InitFrontier(current);
+  for (int iter = 0; iter < 8 && !current->Empty(); ++iter) {
+    RunPullKernel(view, *current, program, next);
+    ExpectCountsMatchBitmap(view, *next,
+                            "pull iteration " + std::to_string(iter));
+    std::swap(current, next);
+    next->Clear();
+  }
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include <atomic>
 #include <numeric>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace hytgraph {
@@ -130,6 +132,115 @@ TEST(ThreadPoolTest, NestedParallelForDegradesToSerialInsteadOfDeadlocking) {
   EXPECT_EQ(inner_total.load(), 8000u);
   EXPECT_EQ(nested_parallel.load(), 0);  // nested calls stayed serial
   EXPECT_FALSE(ThreadPool::InWorkerThread());
+}
+
+TEST(ThreadPoolTest, CallerRunsShardZeroAndItsNestedCallStaysSerial) {
+  // Shard 0 runs on the calling thread while it holds the submission lock:
+  // a nested ParallelFor from it must run serially, not block on that lock.
+  ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> shard0_calls{0};
+  uint64_t inner_begin = 1;
+  uint64_t inner_end = 0;
+  int inner_shard = -1;
+  int inner_calls = 0;
+  pool.ParallelFor(
+      4000,
+      [&](int shard, uint64_t /*begin*/, uint64_t /*end*/) {
+        if (shard != 0) return;
+        shard0_calls.fetch_add(1);
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        EXPECT_TRUE(ThreadPool::InWorkerThread());
+        pool.ParallelFor(
+            100000,
+            [&](int s, uint64_t b, uint64_t e) {
+              ++inner_calls;
+              inner_shard = s;
+              inner_begin = b;
+              inner_end = e;
+            },
+            /*min_grain=*/1);
+      },
+      /*min_grain=*/1);
+  EXPECT_EQ(shard0_calls.load(), 1);
+  EXPECT_EQ(inner_calls, 1);
+  EXPECT_EQ(inner_shard, 0);
+  EXPECT_EQ(inner_begin, 0u);
+  EXPECT_EQ(inner_end, 100000u);
+}
+
+TEST(ThreadPoolTest, SingleThreadPoolRunsInlineOnTheCaller) {
+  ThreadPool pool(1);
+  EXPECT_EQ(pool.num_threads(), 1);
+  const std::thread::id caller = std::this_thread::get_id();
+  int calls = 0;
+  pool.ParallelFor(
+      100000,
+      [&](int shard, uint64_t begin, uint64_t end) {
+        ++calls;
+        EXPECT_EQ(shard, 0);
+        EXPECT_EQ(begin, 0u);
+        EXPECT_EQ(end, 100000u);
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+      },
+      /*min_grain=*/1);
+  EXPECT_EQ(calls, 1);
+}
+
+TEST(ThreadPoolTest, CallerWorkerMarkIsRestoredAfterTheBatch) {
+  ThreadPool pool(4);
+  auto batch = [&] {
+    std::atomic<uint64_t> total{0};
+    pool.ParallelFor(
+        10000,
+        [&](int, uint64_t begin, uint64_t end) {
+          EXPECT_TRUE(ThreadPool::InWorkerThread());
+          total.fetch_add(end - begin);
+        },
+        /*min_grain=*/1);
+    EXPECT_EQ(total.load(), 10000u);
+  };
+  ASSERT_FALSE(ThreadPool::InWorkerThread());
+  batch();
+  EXPECT_FALSE(ThreadPool::InWorkerThread());
+  // A thread already marked as a worker (a solver lane) keeps its mark.
+  std::thread lane([&] {
+    ThreadPool::MarkWorkerThread();
+    batch();
+    EXPECT_TRUE(ThreadPool::InWorkerThread());
+  });
+  lane.join();
+}
+
+TEST(ThreadPoolTest, ShardExceptionsWaitForWorkersAndPropagate) {
+  // The workers still reference the batch when the caller's shard throws:
+  // ParallelFor must wait them out before unwinding, and the pool stays
+  // usable afterwards.
+  ThreadPool pool(4);
+  std::atomic<int> worker_shards_done{0};
+  EXPECT_THROW(pool.ParallelFor(
+                   4000,
+                   [&](int shard, uint64_t, uint64_t) {
+                     if (shard == 0) throw std::runtime_error("shard 0");
+                     worker_shards_done.fetch_add(1);
+                   },
+                   /*min_grain=*/1),
+               std::runtime_error);
+  EXPECT_EQ(worker_shards_done.load(), pool.num_threads() - 1);
+  EXPECT_FALSE(ThreadPool::InWorkerThread());
+  // A worker shard's exception reaches the caller too.
+  EXPECT_THROW(pool.ParallelFor(
+                   4000,
+                   [&](int shard, uint64_t, uint64_t) {
+                     if (shard == 1) throw std::runtime_error("shard 1");
+                   },
+                   /*min_grain=*/1),
+               std::runtime_error);
+  std::atomic<uint64_t> total{0};
+  pool.ParallelFor(
+      4000, [&](int, uint64_t b, uint64_t e) { total.fetch_add(e - b); },
+      /*min_grain=*/1);
+  EXPECT_EQ(total.load(), 4000u);
 }
 
 TEST(ThreadPoolTest, ConcurrentTopLevelCallersSerializeSafely) {
