@@ -810,7 +810,6 @@ Result<QueryResult> Engine::RunIncremental(const Query& query,
   }
 
   const VertexId n = ref.view.num_vertices();
-  const CompactionPolicy& policy = compactor_.policy();
   // Incremental recomputes traverse the pinned view directly; bracket them
   // like Execute does so a lost block aborts with kUnavailable.
   const uint64_t storage_mark = StorageFailureMark();
@@ -839,22 +838,17 @@ Result<QueryResult> Engine::RunIncremental(const Query& query,
   // Transparent full recompute, carrying the reason in the trace so
   // callers (and the dynamic test suite) can tell *why* the warm start
   // was abandoned rather than silently observing a slow path.
-  auto fallback = [&](IncrementalFallback reason) -> Result<QueryResult> {
+  if (log_retired) {
     HYT_ASSIGN_OR_RETURN(QueryResult full, Run(query));
-    full.trace.incremental_fallback = reason;
+    full.trace.incremental_fallback = IncrementalFallback::kRetiredLog;
     return full;
-  };
-
-  if (log_retired) return fallback(IncrementalFallback::kRetiredLog);
+  }
 
   if (SupportsIncremental(query.algorithm)) {
     if (previous.is_f64() || previous.u32().size() != n) {
       return Status::InvalidArgument(
           "previous values do not match this engine's graph (" +
           std::to_string(n) + " vertices)");
-    }
-    if (!deletes.empty() && !policy.incremental_deletion_cone) {
-      return fallback(IncrementalFallback::kDeletionDelta);
     }
 
     QueryResult result;
@@ -912,9 +906,6 @@ Result<QueryResult> Engine::RunIncremental(const Query& query,
   }
 
   // Accumulation family (PR/PHP): Maiter-style residual re-injection.
-  if (!policy.incremental_accumulative) {
-    return fallback(IncrementalFallback::kUnsupportedAlgorithm);
-  }
   if (!previous.is_f64() || previous.f64().size() != n) {
     return Status::InvalidArgument(
         "previous values do not match this engine's graph (" +

@@ -58,10 +58,9 @@
 //    the previous values; deltas with deletions invalidate only the
 //    affected cone (KickStarter-style) and re-seed from its boundary;
 //    PR/PHP re-inject the mutated edges' residual contributions
-//    Maiter-style. A full recompute remains the fallback — when the
-//    policy disables a path or the snapshot GC retired the needed
-//    mutation-log entries — and RunTrace::incremental_fallback reports
-//    which reason triggered it.
+//    Maiter-style. A full recompute remains the fallback when the
+//    snapshot GC retired the needed mutation-log entries, and
+//    RunTrace::incremental_fallback reports it.
 //
 // Direction-optimizing queries (SolverOptions::direction = pull/auto) pull
 // over the view's reverse side. The reverse transpose is built lazily on
@@ -304,11 +303,10 @@ class Engine {
   ///    and re-seed from its boundary (dynamic/incremental.h);
   ///  * PR/PHP — re-inject the mutated edges' residual contributions and
   ///    propagate the delta chaotically (Maiter-style).
-  /// A full recompute remains the transparent fallback when the policy
-  /// disables a path (CompactionPolicy::incremental_deletion_cone /
-  /// incremental_accumulative) or the snapshot GC retired the mutation-log
-  /// entries since previous.epoch; RunTrace::incremental_fallback carries
-  /// the reason and QueryResult::incremental reports which path ran.
+  /// A full recompute remains the transparent fallback when the snapshot
+  /// GC retired the mutation-log entries since previous.epoch;
+  /// RunTrace::incremental_fallback carries the reason and
+  /// QueryResult::incremental reports which path ran.
   /// Values match a full recompute either way (bitwise for the monotone
   /// family, up to the kernels' epsilon residual for PR/PHP).
   Result<QueryResult> RunIncremental(const Query& query,

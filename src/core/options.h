@@ -67,10 +67,11 @@ struct SolverOptions {
   int num_streams = 4;
 
   /// --- Parallel partition execution (beyond the paper) ---
-  /// Worker lanes executing disjoint partition ranges truly in parallel,
-  /// exchanging cross-partition activations through per-lane inboxes at
-  /// the iteration barrier. 1 = the exact sequential reference path
-  /// (byte-identical traces); 0 = auto (hardware concurrency). Simulated
+  /// Lanes executing disjoint partition ranges in parallel as shards of
+  /// the shared thread pool, exchanging cross-partition activations
+  /// through per-lane outboxes at the iteration barrier. 1 = the exact
+  /// sequential reference path (byte-identical traces); 0 = auto
+  /// (hardware concurrency). Simulated
   /// time under lanes is max-over-lanes of the same per-partition costs,
   /// so paper-figure numbers stay comparable.
   int num_workers = 1;

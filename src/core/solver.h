@@ -78,7 +78,6 @@
 #include "sim/transfer_stats.h"
 #include "sim/unified_memory.h"
 #include "sim/zero_copy.h"
-#include "util/lane_team.h"
 #include "util/math_util.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
@@ -199,15 +198,12 @@ class Solver {
     // Parallel partition execution: resolve the lane count once per run and
     // fix each lane's partition ownership for the query's lifetime.
     // num_lanes == 1 takes the exact sequential reference path below — no
-    // team, no lane state, byte-identical traces to the pre-lane solver.
+    // lane state, no pool batch, byte-identical traces to the pre-lane
+    // solver.
     const int num_lanes = ResolveLaneCount();
     std::vector<std::unique_ptr<LaneState>> lane_states;
     std::vector<VertexId> lane_starts;
-    std::unique_ptr<LaneTeam> team;
-    if (num_lanes > 1) {
-      AssignLanes(num_lanes, &lane_states, &lane_starts);
-      team = std::make_unique<LaneTeam>(num_lanes);
-    }
+    if (num_lanes > 1) AssignLanes(num_lanes, &lane_states, &lane_starts);
 
     Frontier frontier_a(view_);
     Frontier frontier_b(view_);
@@ -286,9 +282,9 @@ class Solver {
           if (pulling) {
             trace.iterations.push_back(
                 num_lanes > 1
-                    ? RunParallelPullIteration(team.get(), &lane_states,
-                                               *current, next, frontier_edges,
-                                               active, &trace, program)
+                    ? RunParallelPullIteration(&lane_states, *current, next,
+                                               frontier_edges, active, &trace,
+                                               program)
                     : RunPullIteration(*current, next, frontier_edges, active,
                                        &trace, program));
             last_pull_edges = trace.iterations.back().transfers.kernel_edges;
@@ -301,12 +297,13 @@ class Solver {
 
       if (num_lanes > 1) {
         trace.iterations.push_back(RunParallelPushIteration(
-            team.get(), &lane_states, lane_starts, *current, next, &trace,
-            program));
+            &lane_states, lane_starts, *current, next, &trace, program));
       } else {
         IterationState state =
             BuildState(*current, program, std::move(actives_scratch_));
-        std::vector<Task> tasks = GenerateTasks(state);
+        std::vector<Task> tasks =
+            GenerateTasks(state, EvaluateCosts(state), 0,
+                          static_cast<uint32_t>(partitions_.size()));
         SplitOversizedCompactionTasks(&tasks, state);
 
         PrioritySchedulerOptions pso;
@@ -496,6 +493,25 @@ class Solver {
         std::min<uint64_t>(static_cast<uint64_t>(lanes), partitions_.size()));
   }
 
+  /// Runs fn(lane) for every lane in [0, num_lanes) as shards of the shared
+  /// pool, and returns once all lanes finish (the iteration barrier). Lanes
+  /// beyond the pool's thread count run back to back inside one shard, so
+  /// partition ownership and the simulated max-over-lanes model do not
+  /// depend on the host. A lane runs on a pool shard (InWorkerThread()), so
+  /// the kernels inside it stay serial — lanes are the parallel unit, as
+  /// batched queries are in RunBatch. Each lane runs its phases in the same
+  /// order every run, so at a fixed lane count the execution is
+  /// deterministic up to the atomics the phase function itself uses.
+  template <typename Fn>
+  static void ForEachLane(size_t num_lanes, const Fn& fn) {
+    ThreadPool::Default()->ParallelFor(
+        num_lanes,
+        [&](int /*shard*/, uint64_t begin, uint64_t end) {
+          for (uint64_t l = begin; l < end; ++l) fn(static_cast<int>(l));
+        },
+        /*min_grain=*/1);
+  }
+
   /// Fixes each lane's partition ownership for the query's lifetime:
   /// contiguous partition ranges balanced by edge mass (greedy toward the
   /// per-lane prefix target, at least one partition per lane). Contiguous
@@ -540,15 +556,12 @@ class Solver {
   /// makespans — the same per-partition costs, modeled as concurrent
   /// devices.
   IterationTrace RunParallelPushIteration(
-      LaneTeam* team, std::vector<std::unique_ptr<LaneState>>* lanes,
+      std::vector<std::unique_ptr<LaneState>>* lanes,
       const std::vector<VertexId>& lane_starts, const Frontier& current,
       Frontier* next, RunTrace* trace, Program* program) {
     IterationState state =
         BuildState(current, program, std::move(actives_scratch_));
-    std::vector<PartitionCosts> costs;
-    if (options_.system == SystemKind::kHyTGraph) {
-      costs = cost_model_->EvaluateAll(partitions_, state);
-    }
+    const std::vector<PartitionCosts> costs = EvaluateCosts(state);
 
     IterationTrace it;
     it.active_vertices = state.total_active_vertices();
@@ -559,12 +572,12 @@ class Solver {
     // Task combining and priority scheduling are confined to the lane's
     // range (filter runs reset at lane boundaries) — the per-partition
     // engine choices themselves are identical to the sequential path.
-    team->Run([&](int l) {
+    ForEachLane(lanes->size(), [&](int l) {
       LaneState& lane = *(*lanes)[l];
       lane.BeginIteration();
       const auto t0 = std::chrono::steady_clock::now();
       std::vector<Task> tasks =
-          GenerateLaneTasks(state, costs, lane.p_begin, lane.p_end);
+          GenerateTasks(state, costs, lane.p_begin, lane.p_end);
       SplitOversizedCompactionTasks(&tasks, state);
       PrioritySchedulerOptions pso;
       pso.enabled = options_.enable_contribution_scheduling;
@@ -595,7 +608,7 @@ class Solver {
     // count update per lane. Activation is idempotent set semantics, so
     // the merged bitmap and scout sum are independent of lane
     // interleaving.
-    team->Run([&](int l) {
+    ForEachLane(lanes->size(), [&](int l) {
       LaneState& lane = *(*lanes)[l];
       ShardActivations<Frontier> activations(view_, next);
       for (size_t m = 0; m < lanes->size(); ++m) {
@@ -647,9 +660,9 @@ class Solver {
   /// write the global next frontier owner-only through the sequential pull
   /// kernel's range scan (one count update per lane) — no outboxes needed.
   IterationTrace RunParallelPullIteration(
-      LaneTeam* team, std::vector<std::unique_ptr<LaneState>>* lanes,
-      const Frontier& current, Frontier* next, uint64_t frontier_edges,
-      uint64_t active_vertices, RunTrace* trace, Program* program) {
+      std::vector<std::unique_ptr<LaneState>>* lanes, const Frontier& current,
+      Frontier* next, uint64_t frontier_edges, uint64_t active_vertices,
+      RunTrace* trace, Program* program) {
     IterationTrace it;
     it.direction = TraversalDirection::kPull;
     it.active_vertices = active_vertices;
@@ -659,7 +672,7 @@ class Solver {
 
     view_.EnsureReverse();
     const auto floor = PullIterationFloor(current, *program);
-    team->Run([&](int l) {
+    ForEachLane(lanes->size(), [&](int l) {
       LaneState& lane = *(*lanes)[l];
       lane.BeginIteration();
       const auto t0 = std::chrono::steady_clock::now();
@@ -694,46 +707,22 @@ class Solver {
     return it;
   }
 
-  /// Task generation: HyTGraph runs the cost model per partition; every
-  /// baseline forces one engine across all active partitions.
-  std::vector<Task> GenerateTasks(const IterationState& state) const {
-    TaskCombinerOptions tco;
-    tco.combine_k = options_.combine_k;
-    tco.enabled = options_.enable_task_combining;
-
-    switch (options_.system) {
-      case SystemKind::kHyTGraph: {
-        const std::vector<PartitionCosts> costs =
-            cost_model_->EvaluateAll(partitions_, state);
-        return CombineTasks(partitions_, state, costs, tco);
-      }
-      case SystemKind::kExpFilter:
-        return ForcedTasks(state, EngineKind::kFilter,
-                           /*single_task=*/false);
-      case SystemKind::kSubway:
-        return ForcedTasks(state, EngineKind::kCompaction,
-                           /*single_task=*/true);
-      case SystemKind::kEmogi:
-        return ForcedTasks(state, EngineKind::kZeroCopy,
-                           /*single_task=*/true);
-      case SystemKind::kImpUm:
-      case SystemKind::kGrus:
-        return ForcedTasks(state, EngineKind::kUnifiedMemory,
-                           /*single_task=*/true);
-      case SystemKind::kCpu:
-        return ForcedTasks(state, EngineKind::kCpu, /*single_task=*/true);
-    }
-    return {};
+  /// Per-partition cost formulas (1)-(3), evaluated once per push
+  /// iteration for HyTGraph; empty for the forced-engine baselines.
+  std::vector<PartitionCosts> EvaluateCosts(const IterationState& state) const {
+    if (options_.system != SystemKind::kHyTGraph) return {};
+    return cost_model_->EvaluateAll(partitions_, state);
   }
 
-  /// Lane-range task generation over partitions [p_begin, p_end). `costs`
-  /// is the coordinator's full EvaluateAll result (kHyTGraph only; empty
-  /// for forced baselines). Combining/merging is confined to the range —
-  /// "single task" baselines build one task per lane.
-  std::vector<Task> GenerateLaneTasks(const IterationState& state,
-                                      const std::vector<PartitionCosts>& costs,
-                                      uint32_t p_begin,
-                                      uint32_t p_end) const {
+  /// Task generation over partitions [p_begin, p_end) — all partitions on
+  /// the sequential path, a lane's owned range under lanes. HyTGraph
+  /// combines the cost-selected engines of `costs` (EvaluateCosts); every
+  /// baseline forces one engine across the range's active partitions.
+  /// Combining/merging is confined to the range — "single task" baselines
+  /// build one task per lane.
+  std::vector<Task> GenerateTasks(const IterationState& state,
+                                  const std::vector<PartitionCosts>& costs,
+                                  uint32_t p_begin, uint32_t p_end) const {
     TaskCombinerOptions tco;
     tco.combine_k = options_.combine_k;
     tco.enabled = options_.enable_task_combining;
@@ -752,8 +741,6 @@ class Solver {
                            /*single_task=*/true, p_begin, p_end);
       case SystemKind::kImpUm:
       case SystemKind::kGrus:
-        // Unreachable under lanes (ResolveLaneCount forces 1 for UM), but
-        // kept total for safety.
         return ForcedTasks(state, EngineKind::kUnifiedMemory,
                            /*single_task=*/true, p_begin, p_end);
       case SystemKind::kCpu:
@@ -763,18 +750,10 @@ class Solver {
     return {};
   }
 
-  /// All active partitions under one forced engine. `single_task` merges
-  /// everything into one task; otherwise consecutive partitions group by
-  /// combine_k (the streaming behaviour of filter-based frameworks).
-  std::vector<Task> ForcedTasks(const IterationState& state, EngineKind kind,
-                                bool single_task) const {
-    return ForcedTasks(state, kind, single_task, 0,
-                       static_cast<uint32_t>(partitions_.size()));
-  }
-
-  /// Range-limited ForcedTasks over partitions [p_begin, p_end): the lane
-  /// path builds one forced task list per owned range ("single" task means
-  /// single per lane there).
+  /// Active partitions of [p_begin, p_end) under one forced engine.
+  /// `single_task` merges everything into one task; otherwise consecutive
+  /// partitions group by combine_k (the streaming behaviour of filter-based
+  /// frameworks).
   std::vector<Task> ForcedTasks(const IterationState& state, EngineKind kind,
                                 bool single_task, uint32_t p_begin,
                                 uint32_t p_end) const {

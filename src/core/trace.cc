@@ -6,10 +6,6 @@ const char* IncrementalFallbackName(IncrementalFallback reason) {
   switch (reason) {
     case IncrementalFallback::kNone:
       return "none";
-    case IncrementalFallback::kUnsupportedAlgorithm:
-      return "unsupported-algorithm";
-    case IncrementalFallback::kDeletionDelta:
-      return "deletion-delta";
     case IncrementalFallback::kRetiredLog:
       return "retired-log";
   }

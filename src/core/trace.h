@@ -19,15 +19,9 @@ namespace hytgraph {
 /// not an incremental request at all).
 enum class IncrementalFallback : uint8_t {
   kNone = 0,
-  /// The algorithm has no incremental path under the current policy
-  /// (PR/PHP with CompactionPolicy::incremental_accumulative off).
-  kUnsupportedAlgorithm = 1,
-  /// The delta since the previous result contains deletions and the
-  /// deletion-cone path is off (CompactionPolicy::incremental_deletion_cone).
-  kDeletionDelta = 2,
   /// Snapshot GC retired the mutation-log entries needed to reconstruct
   /// the delta since the previous result's epoch.
-  kRetiredLog = 3,
+  kRetiredLog = 1,
 };
 
 const char* IncrementalFallbackName(IncrementalFallback reason);

@@ -57,18 +57,6 @@ struct CompactionPolicy {
   /// long-lived mutation stream. RunIncremental from a retired epoch
   /// transparently falls back to a full recompute. 0 retains everything.
   uint64_t mutation_log_horizon = 1024;
-  /// Deletion-aware incremental recomputation for BFS/SSSP/CC/SSWP:
-  /// confine a deletion's invalidation to the affected cone and re-seed
-  /// the frontier from the cone boundary instead of recomputing from
-  /// scratch. Off restores the pre-cone behaviour — full-recompute
-  /// fallback, reported as IncrementalFallback::kDeletionDelta (the bench
-  /// A/B arm).
-  bool incremental_deletion_cone = true;
-  /// Maiter-style delta re-injection for the accumulation family (PR/PHP):
-  /// warm-start from the previous ranks and re-inject only the mutated
-  /// edges' residual contributions. Off = full-recompute fallback
-  /// (IncrementalFallback::kUnsupportedAlgorithm).
-  bool incremental_accumulative = true;
 
   uint64_t ThresholdFor(EdgeId base_edges) const {
     const auto scaled = static_cast<uint64_t>(

@@ -132,6 +132,4 @@ ThreadPool* ThreadPool::Default() {
 
 bool ThreadPool::InWorkerThread() { return tls_in_pool_worker; }
 
-void ThreadPool::MarkWorkerThread() { tls_in_pool_worker = true; }
-
 }  // namespace hytgraph

@@ -1,6 +1,6 @@
 // A fixed-size thread pool with a blocked-range ParallelFor. The pool backs
-// the host-side "GPU kernel" execution, the CPU compaction engine, and the
-// Engine's batched query fan-out.
+// the host-side "GPU kernel" execution, the CPU compaction engine, the
+// solver's partition lanes, and the Engine's batched query fan-out.
 //
 // Execution: a pool of N threads is the calling thread plus N - 1 workers.
 // ParallelFor runs shard 0 inline on the caller and hands shards 1.. to
@@ -14,10 +14,10 @@
 // shard order to obtain deterministic reductions.
 //
 // Reentrancy: ParallelFor may be called from inside a shard (e.g. a batched
-// query executing its solver kernels); the nested call degrades to a serial
-// loop on the calling thread instead of deadlocking on a nested submission.
-// The caller counts as a pool worker while it runs shard 0. Concurrent
-// top-level callers serialize their batches.
+// query or a solver lane executing its kernels); the nested call degrades to
+// a serial loop on the calling thread instead of deadlocking on a nested
+// submission. The caller counts as a pool worker while it runs shard 0.
+// Concurrent top-level callers serialize their batches.
 
 #ifndef HYTGRAPH_UTIL_THREAD_POOL_H_
 #define HYTGRAPH_UTIL_THREAD_POOL_H_
@@ -65,13 +65,6 @@ class ThreadPool {
   /// caller running its inline shard. Nested ParallelFor calls from such
   /// threads run serially.
   static bool InWorkerThread();
-
-  /// Marks the calling thread as a pool worker without it belonging to any
-  /// pool. Solver lane threads (core/lane_team.h) call this at entry so
-  /// kernel-level ParallelFor degrades to a serial loop inside each lane —
-  /// lanes are the parallel unit; nesting pool batches under them would
-  /// serialize every lane on the pool's submission lock.
-  static void MarkWorkerThread();
 
  private:
   void WorkerLoop(int worker);

@@ -162,8 +162,8 @@ void VerifyObservations(const std::vector<Observation>& observations,
 /// The pinned-epoch stress body, parameterized by the solver's worker-lane
 /// count: num_workers=1 is the historical sequential-solver stress;
 /// num_workers=4 adds per-partition lanes INSIDE each racing query, so
-/// lane threads, mutators, and the background compactor all contend on
-/// the same engine at once.
+/// lane shards on the shared pool, mutators, and the background compactor
+/// all contend on the same engine at once.
 void RunPinnedEpochStress(int num_workers) {
   const CsrGraph base = SmallRmat(8, 8, /*seed=*/21);
   const VertexId n = base.num_vertices();

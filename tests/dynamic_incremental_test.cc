@@ -164,30 +164,6 @@ TEST(IncrementalEngineTest, DeletionRunsTheConeIncrementalPath) {
   EXPECT_NE(rerun->u32(), initial->u32());
 }
 
-TEST(IncrementalEngineTest, DeletionPolicyOffReportsTheFallbackReason) {
-  CompactionPolicy policy;
-  policy.incremental_deletion_cone = false;
-  Engine engine(PaperFigure1Graph(), CpuDefaults(), policy);
-  Query query;
-  query.algorithm = AlgorithmId::kSssp;
-  query.source = 0;
-  auto initial = engine.Run(query);
-  ASSERT_TRUE(initial.ok());
-
-  MutationBatch batch;
-  batch.DeleteEdge(0, 1);
-  ASSERT_TRUE(engine.ApplyMutations(batch).ok());
-
-  auto rerun = engine.RunIncremental(query, *initial);
-  ASSERT_TRUE(rerun.ok());
-  EXPECT_FALSE(rerun->incremental);
-  EXPECT_EQ(rerun->trace.incremental_fallback,
-            IncrementalFallback::kDeletionDelta);
-  auto full = engine.Run(query);
-  ASSERT_TRUE(full.ok());
-  EXPECT_EQ(rerun->u32(), full->u32());
-}
-
 TEST(IncrementalEngineTest, RetiredMutationLogReportsTheFallbackReason) {
   CompactionPolicy policy;
   policy.mutation_log_horizon = 1;  // retire aggressively
@@ -277,27 +253,6 @@ TEST(IncrementalEngineTest, AccumulationFamilyRunsResidualReinjection) {
   for (size_t v = 0; v < full->f64().size(); ++v) {
     EXPECT_NEAR(rerun->f64()[v], full->f64()[v], 1e-4) << "vertex " << v;
   }
-}
-
-TEST(IncrementalEngineTest, AccumulativePolicyOffReportsTheFallbackReason) {
-  CompactionPolicy policy;
-  policy.incremental_accumulative = false;
-  Engine engine(SmallRmat(8, 5, 7), CpuDefaults(), policy);
-  Query query;
-  query.algorithm = AlgorithmId::kPageRank;
-  auto initial = engine.Run(query);
-  ASSERT_TRUE(initial.ok());
-
-  MutationBatch batch;
-  batch.InsertEdge(0, 1, 1);
-  ASSERT_TRUE(engine.ApplyMutations(batch).ok());
-
-  auto rerun = engine.RunIncremental(query, *initial);
-  ASSERT_TRUE(rerun.ok());
-  EXPECT_FALSE(rerun->incremental);
-  EXPECT_EQ(rerun->trace.incremental_fallback,
-            IncrementalFallback::kUnsupportedAlgorithm);
-  EXPECT_TRUE(rerun->is_f64());
 }
 
 TEST(IncrementalEngineTest, MismatchedPreviousResultIsRejected) {

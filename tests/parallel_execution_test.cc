@@ -28,11 +28,13 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/engine.h"
 #include "dynamic/mutation.h"
 #include "test_graphs.h"
+#include "util/thread_pool.h"
 
 namespace hytgraph {
 namespace {
@@ -122,13 +124,35 @@ std::unique_ptr<Engine> MakeEngine(Context context, int num_workers,
   return engine;
 }
 
-QueryResult RunOne(Engine& engine, AlgorithmId algorithm) {
+Query QueryFor(AlgorithmId algorithm) {
   Query query;
   query.algorithm = algorithm;
   if (GetAlgorithmInfo(algorithm).needs_source) query.source = 1;
-  auto result = engine.Run(query);
+  return query;
+}
+
+QueryResult RunOne(Engine& engine, AlgorithmId algorithm) {
+  auto result = engine.Run(QueryFor(algorithm));
   HYT_CHECK(result.ok()) << result.status().ToString();
   return std::move(result).value();
+}
+
+/// Bitwise for the u32 value-selection family; within accumulation
+/// tolerance of the largest reference value for the f64 family.
+void ExpectSameValues(const QueryResult& got, const QueryResult& want,
+                      const std::string& label) {
+  if (got.is_f64()) {
+    ASSERT_EQ(got.f64().size(), want.f64().size()) << label;
+    double max_ref = 1e-12;
+    for (double v : want.f64()) max_ref = std::max(max_ref, std::abs(v));
+    for (size_t v = 0; v < got.f64().size(); ++v) {
+      ASSERT_NEAR(got.f64()[v], want.f64()[v], 1e-3 * max_ref)
+          << label << " vertex " << v;
+    }
+  } else {
+    EXPECT_EQ(got.u32(), want.u32())
+        << label << " diverged from the sequential reference";
+  }
 }
 
 class ParallelExecutionTest : public ::testing::TestWithParam<Context> {};
@@ -143,22 +167,9 @@ TEST_P(ParallelExecutionTest, ValuesMatchSequentialReferenceAtEveryWidth) {
   for (int workers : {2, 4, 8}) {
     auto engine = MakeEngine(context, workers);
     for (AlgorithmId algorithm : kAllAlgorithms) {
-      const QueryResult got = RunOne(*engine, algorithm);
-      const QueryResult& want = reference.at(algorithm);
-      if (got.is_f64()) {
-        ASSERT_EQ(got.f64().size(), want.f64().size());
-        double max_ref = 1e-12;
-        for (double v : want.f64()) max_ref = std::max(max_ref, std::abs(v));
-        for (size_t v = 0; v < got.f64().size(); ++v) {
-          ASSERT_NEAR(got.f64()[v], want.f64()[v], 1e-3 * max_ref)
-              << AlgorithmName(algorithm) << " vertex " << v << " at "
-              << workers << " workers";
-        }
-      } else {
-        EXPECT_EQ(got.u32(), want.u32())
-            << AlgorithmName(algorithm) << " diverged from the sequential "
-            << "reference at " << workers << " workers";
-      }
+      ExpectSameValues(RunOne(*engine, algorithm), reference.at(algorithm),
+                       std::string(AlgorithmName(algorithm)) + " at " +
+                           std::to_string(workers) + " workers");
     }
   }
 }
@@ -212,6 +223,79 @@ TEST(ParallelExecutionClampTest, AutoWorkerCountMatchesSequential) {
   Engine engine(TestGraph(), automatic);
   const QueryResult got = RunOne(engine, AlgorithmId::kBfs);
   EXPECT_EQ(got.u32(), want.u32());
+}
+
+/// Inside RunBatch every query runs on a pool shard, so the batch is the
+/// parallel unit and each query resolves to one lane; the same options on
+/// a direct Run get lanes. Values match the sequential reference either
+/// way.
+TEST(ParallelExecutionLaneCountTest, BatchedQueriesRunOneLane) {
+  if (ThreadPool::Default()->num_threads() < 2) {
+    GTEST_SKIP() << "a one-thread pool runs batches inline on the caller";
+  }
+  auto reference_engine = MakeEngine(Context::kStatic, /*num_workers=*/1);
+  auto engine = MakeEngine(Context::kStatic, /*num_workers=*/4);
+  std::vector<Query> queries;
+  for (AlgorithmId algorithm : kAllAlgorithms) {
+    queries.push_back(QueryFor(algorithm));
+  }
+  auto batch = engine->RunBatch(queries);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  ASSERT_EQ(batch->size(), queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const std::string label = AlgorithmName(queries[i].algorithm);
+    EXPECT_EQ((*batch)[i].trace.num_lanes, 1) << label << " ran lanes";
+    ExpectSameValues((*batch)[i],
+                     RunOne(*reference_engine, queries[i].algorithm),
+                     label + " in a batch");
+  }
+  EXPECT_GT(RunOne(*engine, AlgorithmId::kBfs).trace.num_lanes, 1);
+}
+
+/// Multi-lane queries from concurrent callers share the one pool: their
+/// lane phases queue on it without deadlock, and a query wider than the
+/// pool runs several lanes back to back per shard. Every value matches the
+/// sequential reference.
+TEST(ParallelExecutionLaneCountTest, ConcurrentMultiLaneQueriesShareThePool) {
+  auto engine = MakeEngine(Context::kStatic, /*num_workers=*/1);
+  const std::vector<AlgorithmId> algorithms = {
+      AlgorithmId::kBfs, AlgorithmId::kSssp, AlgorithmId::kCc,
+      AlgorithmId::kSswp};
+  std::map<AlgorithmId, QueryResult> reference;
+  for (AlgorithmId algorithm : algorithms) {
+    reference.emplace(algorithm, RunOne(*engine, algorithm));
+  }
+  const int pool_threads = ThreadPool::Default()->num_threads();
+  const int widths[] = {2, 4, 2 * pool_threads};
+  std::vector<std::string> failures[3];
+  std::vector<std::thread> callers;
+  for (int t = 0; t < 3; ++t) {
+    callers.emplace_back([&, t] {
+      SolverOptions options = engine->default_options();
+      options.num_workers = widths[t];
+      for (int round = 0; round < 2; ++round) {
+        for (AlgorithmId algorithm : algorithms) {
+          auto got = engine->Run(QueryFor(algorithm), options);
+          if (!got.ok()) {
+            failures[t].push_back(got.status().ToString());
+          } else if (got->trace.num_lanes < 2) {
+            failures[t].push_back(std::string(AlgorithmName(algorithm)) +
+                                  " ran one lane");
+          } else if (got->u32() != reference.at(algorithm).u32()) {
+            failures[t].push_back(std::string(AlgorithmName(algorithm)) +
+                                  " diverged at " +
+                                  std::to_string(widths[t]) + " lanes");
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  for (int t = 0; t < 3; ++t) {
+    for (const std::string& failure : failures[t]) {
+      ADD_FAILURE() << "caller " << t << ": " << failure;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -189,27 +189,17 @@ TEST(ThreadPoolTest, SingleThreadPoolRunsInlineOnTheCaller) {
 
 TEST(ThreadPoolTest, CallerWorkerMarkIsRestoredAfterTheBatch) {
   ThreadPool pool(4);
-  auto batch = [&] {
-    std::atomic<uint64_t> total{0};
-    pool.ParallelFor(
-        10000,
-        [&](int, uint64_t begin, uint64_t end) {
-          EXPECT_TRUE(ThreadPool::InWorkerThread());
-          total.fetch_add(end - begin);
-        },
-        /*min_grain=*/1);
-    EXPECT_EQ(total.load(), 10000u);
-  };
+  std::atomic<uint64_t> total{0};
   ASSERT_FALSE(ThreadPool::InWorkerThread());
-  batch();
+  pool.ParallelFor(
+      10000,
+      [&](int, uint64_t begin, uint64_t end) {
+        EXPECT_TRUE(ThreadPool::InWorkerThread());
+        total.fetch_add(end - begin);
+      },
+      /*min_grain=*/1);
+  EXPECT_EQ(total.load(), 10000u);
   EXPECT_FALSE(ThreadPool::InWorkerThread());
-  // A thread already marked as a worker (a solver lane) keeps its mark.
-  std::thread lane([&] {
-    ThreadPool::MarkWorkerThread();
-    batch();
-    EXPECT_TRUE(ThreadPool::InWorkerThread());
-  });
-  lane.join();
 }
 
 TEST(ThreadPoolTest, ShardExceptionsWaitForWorkersAndPropagate) {
