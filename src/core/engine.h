@@ -302,7 +302,8 @@ class Engine {
   ///    of vertices whose values may have derived through a deleted edge
   ///    and re-seed from its boundary (dynamic/incremental.h);
   ///  * PR/PHP — re-inject the mutated edges' residual contributions and
-  ///    propagate the delta chaotically (Maiter-style).
+  ///    propagate the delta (Maiter-style) in bulk-synchronous rounds on
+  ///    the thread pool, bitwise reproducible for a fixed pool size.
   /// A full recompute remains the transparent fallback when the snapshot
   /// GC retired the mutation-log entries since previous.epoch;
   /// RunTrace::incremental_fallback carries the reason and

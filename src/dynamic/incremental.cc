@@ -7,6 +7,8 @@
 #include <unordered_map>
 #include <utility>
 
+#include "util/thread_pool.h"
+
 namespace hytgraph {
 
 namespace {
@@ -234,48 +236,117 @@ IncrementalStats ConeRecompute(const GraphView& graph, bool has_source,
   return stats;
 }
 
-/// Chaotic residual propagation for the accumulation family: consume each
-/// vertex's pending delta into its value and share d * delta through the
-/// out-edges, scaled by EdgeShare (1/deg for PR, w/W for PHP), activating
-/// targets whose |pending| reaches epsilon. Mirrors the push kernels'
-/// termination; leftover sub-epsilon residual folds into the final values
-/// exactly like the kernels' Values().
-template <typename ShareFn>
-void PropagateResidual(const GraphView& graph, double damping,
-                       double epsilon, VertexId skip_target,
-                       std::vector<double>* pending,
-                       std::vector<double>* values, ShareFn&& share,
-                       IncrementalStats* stats) {
+/// Residual propagation for the accumulation family, in bulk-synchronous
+/// rounds on ThreadPool::Default(). `delta` holds each vertex's pending
+/// residual; a vertex is active while |delta| >= epsilon. Each round:
+///   push   — one batch over the ascending active list. Each u consumes
+///            delta[u] into vals[u] and adds d * delta[u] * share(u -> t)
+///            to its shard's private row acc[shard][t], where share is
+///            1/out_degree (PR) or w/sum(w) with `source` skipped (PHP).
+///            u is unique in the list and a row has one writer, so plain
+///            stores suffice;
+///   reduce — one batch over [0, n): delta[v] += acc[s][v] in shard order,
+///            zeroing each slot; v joins its shard's next list when active.
+///            The lists concatenated in shard order are the next ascending
+///            frontier.
+/// Chunking is static and every sum has a fixed order, so the values are
+/// bitwise reproducible for a fixed pool size. A call from inside a pool
+/// shard runs every batch serially on shard 0. Leftover sub-epsilon
+/// residual folds into the values exactly like the kernels' Values().
+void DrainResidual(const GraphView& graph, bool is_php, VertexId source,
+                   double damping, double epsilon,
+                   std::vector<double>* pending, std::vector<double>* values,
+                   IncrementalStats* stats) {
+  ThreadPool* pool = ThreadPool::Default();
+  const VertexId n = graph.num_vertices();
   std::vector<double>& delta = *pending;
   std::vector<double>& vals = *values;
-  std::vector<uint8_t> queued(vals.size(), 0);
-  std::vector<VertexId> queue;
-  for (VertexId v = 0; v < delta.size(); ++v) {
-    if (std::abs(delta[v]) >= epsilon) {
-      queued[v] = 1;
-      queue.push_back(v);
-    }
-  }
-  stats->seed_vertices = queue.size();
-  for (size_t head = 0; head < queue.size(); ++head) {
-    const VertexId u = queue[head];
-    queued[u] = 0;
-    const double consumed = delta[u];
-    delta[u] = 0;
-    vals[u] += consumed;
-    ++stats->relaxed_vertices;
-    if (consumed == 0) continue;
-    share(u, damping * consumed, [&](VertexId v, double msg) {
-      ++stats->traversed_edges;
-      if (v == skip_target) return;
-      delta[v] += msg;
-      if (!queued[v] && std::abs(delta[v]) >= epsilon) {
-        queued[v] = 1;
-        queue.push_back(v);
+  const int shards = ThreadPool::InWorkerThread() ? 1 : pool->num_threads();
+  std::vector<std::vector<double>> acc(shards, std::vector<double>(n, 0.0));
+  std::vector<std::vector<VertexId>> next(shards);
+  struct PushTally {
+    uint64_t vertices = 0;
+    uint64_t edges = 0;
+  };
+  std::vector<PushTally> tally(shards);
+  int rows = 0;  // accumulator rows the last push wrote; the rest are zero
+
+  std::vector<VertexId> frontier;
+  auto reduce = [&] {
+    pool->ParallelFor(n, [&](int shard, uint64_t begin, uint64_t end) {
+      // Appends go to a local vector: the shards' list headers share cache
+      // lines, and writing them per vertex would ping-pong those lines.
+      std::vector<VertexId> active = std::move(next[shard]);
+      for (uint64_t v = begin; v < end; ++v) {
+        double d = delta[v];
+        for (int s = 0; s < rows; ++s) {
+          d += acc[s][v];
+          acc[s][v] = 0;
+        }
+        delta[v] = d;
+        // A zero residual has nothing to push, whatever epsilon is.
+        if (d != 0 && std::abs(d) >= epsilon) {
+          active.push_back(static_cast<VertexId>(v));
+        }
       }
+      next[shard] = std::move(active);
     });
+    frontier.clear();
+    for (std::vector<VertexId>& active : next) {
+      frontier.insert(frontier.end(), active.begin(), active.end());
+      active.clear();
+    }
+  };
+
+  reduce();
+  stats->seed_vertices = frontier.size();
+  while (!frontier.empty()) {
+    ++stats->rounds;
+    std::fill(tally.begin(), tally.end(), PushTally{});
+    pool->ParallelFor(
+        frontier.size(), [&](int shard, uint64_t begin, uint64_t end) {
+          std::vector<double>& row = acc[shard];
+          uint64_t edges = 0;
+          for (uint64_t i = begin; i < end; ++i) {
+            const VertexId u = frontier[i];
+            const double consumed = delta[u];
+            delta[u] = 0;
+            vals[u] += consumed;
+            const double mass = damping * consumed;
+            if (is_php) {
+              double weight_sum = 0;
+              graph.ForEachNeighbor(
+                  u, [&](VertexId /*t*/, Weight w) { weight_sum += w; });
+              if (weight_sum <= 0) continue;
+              graph.ForEachNeighbor(u, [&](VertexId t, Weight w) {
+                ++edges;
+                if (t != source) {
+                  row[t] += mass * static_cast<double>(w) / weight_sum;
+                }
+              });
+            } else {
+              const EdgeId degree = graph.out_degree(u);
+              if (degree == 0) continue;
+              const double msg = mass / static_cast<double>(degree);
+              graph.ForEachNeighbor(u, [&](VertexId t, Weight /*w*/) {
+                ++edges;
+                row[t] += msg;
+              });
+            }
+          }
+          tally[shard] = PushTally{end - begin, edges};
+        });
+    rows = 0;
+    for (int s = 0; s < shards; ++s) {
+      stats->relaxed_vertices += tally[s].vertices;
+      stats->traversed_edges += tally[s].edges;
+      if (tally[s].vertices > 0) rows = s + 1;
+    }
+    reduce();
   }
-  for (VertexId v = 0; v < delta.size(); ++v) vals[v] += delta[v];
+  pool->ParallelFor(n, [&](int /*shard*/, uint64_t begin, uint64_t end) {
+    for (uint64_t v = begin; v < end; ++v) vals[v] += delta[v];
+  });
 }
 
 }  // namespace
@@ -493,32 +564,8 @@ Result<IncrementalStats> AccumulativeRecompute(
     }
   }
 
-  if (is_php) {
-    PropagateResidual(
-        graph, damping, epsilon, /*skip_target=*/source, &pending, &vals,
-        [&](VertexId u, double mass, auto&& emit) {
-          double weight_sum = 0;
-          graph.ForEachNeighbor(
-              u, [&](VertexId /*t*/, Weight w) { weight_sum += w; });
-          if (weight_sum <= 0) return;
-          graph.ForEachNeighbor(u, [&](VertexId t, Weight w) {
-            emit(t, mass * static_cast<double>(w) / weight_sum);
-          });
-        },
-        &stats);
-  } else {
-    PropagateResidual(
-        graph, damping, epsilon, /*skip_target=*/kInvalidVertex, &pending,
-        &vals,
-        [&](VertexId u, double mass, auto&& emit) {
-          const EdgeId degree = graph.out_degree(u);
-          if (degree == 0) return;
-          const double msg = mass / static_cast<double>(degree);
-          graph.ForEachNeighbor(
-              u, [&](VertexId t, Weight /*w*/) { emit(t, msg); });
-        },
-        &stats);
-  }
+  DrainResidual(graph, is_php, source, damping, epsilon, &pending, &vals,
+                &stats);
   return stats;
 }
 

@@ -36,10 +36,17 @@
 // bound; AccumulativeRecompute advances it Maiter-style instead: the new
 // fixpoint r' of r = b + d·Aᵀr differs from the old one by
 // δ = d·A'ᵀδ + d·(A' − A)ᵀr, so re-injecting each mutated vertex's
-// contribution change (computed from the previous values) and running
-// chaotic delta propagation on the *current* graph converges to the new
-// fixpoint up to the epsilon residual — the same tolerance the push
-// kernels terminate with.
+// contribution change (computed from the previous values) and propagating
+// the residual on the *current* graph converges to the new fixpoint up to
+// the epsilon residual — the same tolerance the push kernels terminate
+// with. The propagation runs in bulk-synchronous rounds on
+// ThreadPool::Default(): each shard pushes its slice of the ascending
+// active list into a shard-private accumulator row, and an owner
+// reduction over the vertices merges the rows in shard order and builds
+// the next active list. No atomics; the rows cost num_threads × n doubles
+// per call. Chunking is static and every sum has a fixed order, so the
+// values are bitwise reproducible for a fixed pool size. A call from
+// inside a pool shard runs serially.
 //
 // The propagation iterates GraphView adjacency directly (merged base +
 // overlay), so an incremental run after a small delta touches only the

@@ -2,21 +2,24 @@
 // identical to a full recompute on the mutated graph (the acceptance
 // property of the dynamic subsystem) — insert-only warm starts and
 // deletion-cone recomputes for BFS/SSSP/CC/SSWP, residual re-injection
-// for the accumulation family (PR/PHP). When the policy disables a path
-// or the mutation log was retired, the transparent full-recompute
-// fallback must report its reason in RunTrace::incremental_fallback.
+// for the accumulation family (PR/PHP). When the mutation log was
+// retired, the transparent full-recompute fallback must report its reason
+// in RunTrace::incremental_fallback.
 
 #include "dynamic/incremental.h"
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "algorithms/reference.h"
 #include "core/engine.h"
 #include "test_graphs.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
 
 namespace hytgraph {
 namespace {
@@ -252,6 +255,191 @@ TEST(IncrementalEngineTest, AccumulationFamilyRunsResidualReinjection) {
   ASSERT_EQ(rerun->f64().size(), full->f64().size());
   for (size_t v = 0; v < full->f64().size(); ++v) {
     EXPECT_NEAR(rerun->f64()[v], full->f64()[v], 1e-4) << "vertex " << v;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// AccumulativeRecompute called directly, on RMAT scale 12: large enough that
+// the active lists and the dense reduce span several pool shards.
+
+/// Same slack as streaming_incremental_test: both sides stop at an epsilon
+/// = 1e-6 residual.
+constexpr double kF64Tolerance = 2e-3;
+
+/// A base graph, the reference fixpoint on it, and a delta applied through
+/// an overlay, with the log records AccumulativeRecompute consumes. The PHP
+/// source is the highest out-degree vertex.
+struct AccumulativeCase {
+  AlgorithmId algorithm;
+  std::shared_ptr<const CsrGraph> base;
+  VertexId source = 0;
+  std::unique_ptr<DeltaOverlay> overlay;
+  std::vector<EdgeRecord> inserts;
+  std::vector<EdgeRecord> deletes;
+  std::vector<double> previous;
+
+  explicit AccumulativeCase(AlgorithmId id)
+      : algorithm(id),
+        base(std::make_shared<const CsrGraph>(SmallRmat(12, 8, 13))),
+        overlay(std::make_unique<DeltaOverlay>(base)) {
+    for (VertexId v = 0; v < base->num_vertices(); ++v) {
+      if (base->out_degree(v) > base->out_degree(source)) source = v;
+    }
+    previous = Reference(*base);
+  }
+
+  std::vector<double> Reference(const CsrGraph& graph) const {
+    return algorithm == AlgorithmId::kPageRank ? ReferencePageRank(graph)
+                                               : ReferencePhp(graph, source);
+  }
+
+  void Apply(const MutationBatch& batch) {
+    auto applied = overlay->Apply(batch);
+    HYT_CHECK(applied.ok()) << applied.status().ToString();
+    deletes = applied->deleted_edges;
+    for (const EdgeMutation& m : batch.mutations()) {
+      if (m.op == MutationOp::kInsertEdge) {
+        inserts.push_back({m.src, m.dst, m.weight});
+      }
+    }
+  }
+
+  /// The reference fixpoint on the post-delta graph.
+  std::vector<double> Expected() const {
+    auto snapshot = overlay->Materialize();
+    HYT_CHECK(snapshot.ok()) << snapshot.status().ToString();
+    return Reference(*snapshot);
+  }
+
+  Result<IncrementalStats> Recompute(std::vector<double>* values) const {
+    *values = previous;
+    return AccumulativeRecompute(GraphView::Wrap(*overlay), algorithm,
+                                 source, AlgoParams{}, inserts, deletes,
+                                 values);
+  }
+};
+
+void ExpectNear(const std::vector<double>& got,
+                const std::vector<double>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t v = 0; v < want.size(); ++v) {
+    ASSERT_NEAR(got[v], want[v], kF64Tolerance) << "vertex " << v;
+  }
+}
+
+class AccumulativeRecomputeTest
+    : public ::testing::TestWithParam<AlgorithmId> {
+ protected:
+  /// 64 random inserts and 64 deletes of random base edges. One of each
+  /// rewires the source, whose row holds PHP's mass: random edges
+  /// elsewhere move PHP by less than epsilon.
+  static AccumulativeCase MixedCase() {
+    AccumulativeCase c(GetParam());
+    const CsrGraph& base = *c.base;
+    const VertexId n = base.num_vertices();
+    Rng rng(57);
+    MutationBatch batch;
+    batch.DeleteEdge(c.source, base.neighbors(c.source)[0]);
+    batch.InsertEdge(c.source, (c.source + 1) % n, 7);
+    for (int i = 0; i < 63; ++i) {
+      const auto v = static_cast<VertexId>(rng.NextBounded(n));
+      const auto nbrs = base.neighbors(v);
+      if (!nbrs.empty()) batch.DeleteEdge(v, nbrs[rng.NextBounded(nbrs.size())]);
+      batch.InsertEdge(static_cast<VertexId>(rng.NextBounded(n)),
+                       static_cast<VertexId>(rng.NextBounded(n)),
+                       static_cast<Weight>(1 + rng.NextBounded(16)));
+    }
+    c.Apply(batch);
+    return c;
+  }
+};
+
+TEST_P(AccumulativeRecomputeTest, MixedDeltaMatchesReference) {
+  const AccumulativeCase c = MixedCase();
+  ASSERT_FALSE(c.deletes.empty());
+  std::vector<double> values;
+  auto stats = c.Recompute(&values);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_GT(stats->rounds, 0u);
+  ExpectNear(values, c.Expected());
+}
+
+TEST_P(AccumulativeRecomputeTest, RepeatedCallsAreBitwiseIdentical) {
+  const AccumulativeCase c = MixedCase();
+  std::vector<double> first, second;
+  auto stats = c.Recompute(&first);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  ASSERT_TRUE(c.Recompute(&second).ok());
+  EXPECT_EQ(first, second);
+  EXPECT_GT(stats->rounds, 0u);
+  EXPECT_GT(stats->seed_vertices, 0u);
+  EXPECT_GE(stats->relaxed_vertices, stats->seed_vertices);
+}
+
+TEST_P(AccumulativeRecomputeTest, CallFromInsidePoolShardMatches) {
+  const AccumulativeCase c = MixedCase();
+  std::vector<double> top_level;
+  ASSERT_TRUE(c.Recompute(&top_level).ok());
+
+  // One call per shard, all running at once; each degrades to a serial
+  // loop on its own thread instead of deadlocking on the pool.
+  ThreadPool* pool = ThreadPool::Default();
+  const int shards = pool->num_threads();
+  std::vector<std::vector<double>> nested(shards);
+  std::vector<uint8_t> ok(shards, 0), in_shard(shards, 0);
+  pool->ParallelFor(
+      shards,
+      [&](int /*shard*/, uint64_t begin, uint64_t end) {
+        for (uint64_t i = begin; i < end; ++i) {
+          in_shard[i] = ThreadPool::InWorkerThread();
+          ok[i] = c.Recompute(&nested[i]).ok();
+        }
+      },
+      /*min_grain=*/1);
+  for (int i = 0; i < shards; ++i) {
+    ASSERT_TRUE(ok[i]) << "call " << i;
+    if (shards > 1) {
+      EXPECT_TRUE(in_shard[i]) << "call " << i;
+    }
+    ExpectNear(nested[i], top_level);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PageRankAndPhp, AccumulativeRecomputeTest,
+    ::testing::Values(AlgorithmId::kPageRank, AlgorithmId::kPhp),
+    [](const ::testing::TestParamInfo<AlgorithmId>& info) {
+      return std::string(AlgorithmName(info.param));
+    });
+
+TEST(AccumulativeDeletionTest, DeleteOnlyDeltaLowersTargets) {
+  AccumulativeCase c(AlgorithmId::kPageRank);
+  // Sixteen edges on pairwise distinct vertices: no deleted target is also
+  // a source whose other out-edges gain the withdrawn share.
+  MutationBatch batch;
+  std::vector<VertexId> targets;
+  std::unordered_set<VertexId> used;
+  for (VertexId u = 0; u < c.base->num_vertices() && targets.size() < 16;
+       ++u) {
+    const auto nbrs = c.base->neighbors(u);
+    if (nbrs.size() < 2 || nbrs[0] == u || used.count(u) ||
+        used.count(nbrs[0])) {
+      continue;
+    }
+    used.insert(u);
+    used.insert(nbrs[0]);
+    targets.push_back(nbrs[0]);
+    batch.DeleteEdge(u, nbrs[0]);
+  }
+  c.Apply(batch);
+  ASSERT_TRUE(c.inserts.empty());
+  ASSERT_GE(c.deletes.size(), targets.size());
+
+  std::vector<double> values;
+  ASSERT_TRUE(c.Recompute(&values).ok());
+  ExpectNear(values, c.Expected());
+  for (VertexId t : targets) {
+    EXPECT_LT(values[t], c.previous[t] - kF64Tolerance) << "vertex " << t;
   }
 }
 

@@ -32,9 +32,10 @@ SolverOptions CpuDefaults() {
 }
 
 /// Termination-threshold slack for the accumulation family: both the
-/// engine (chaotic, warm-started) and the reference (synchronous) stop at
-/// epsilon = 1e-6 residual, and the warm-start chain re-accumulates each
-/// epoch's truncation. ~n*eps/(1-d) per epoch, a few epochs deep.
+/// engine (warm-started, bulk-synchronous rounds on the pool) and the
+/// reference (synchronous, cold) stop at epsilon = 1e-6 residual, and the
+/// warm-start chain re-accumulates each epoch's truncation. ~n*eps/(1-d)
+/// per epoch, a few epochs deep.
 constexpr double kF64Tolerance = 2e-3;
 
 /// Serial ground truth on the materialized snapshot.
