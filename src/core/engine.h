@@ -314,9 +314,13 @@ class Engine {
                                      const QueryResult& previous);
 
   /// Executes `queries` concurrently on the process thread pool, sharing
-  /// cached preparations. Results are index-aligned with `queries` and
-  /// identical to sequential Run calls; the first failing query's status is
-  /// returned on error.
+  /// cached preparations. Results are index-aligned with `queries`, with
+  /// values equal to sequential Run calls (within the accumulation
+  /// tolerance for PR/PHP); the first failing query's status is returned on
+  /// error. In a batch of two or more, each query's kernels run serially on
+  /// its pool shard, so its per-iteration frontier counts are reproducible
+  /// run to run (a lone Run's kernels span the pool threads, and those
+  /// counts then depend on thread timing).
   Result<std::vector<QueryResult>> RunBatch(const std::vector<Query>& queries);
   Result<std::vector<QueryResult>> RunBatch(const std::vector<Query>& queries,
                                             const SolverOptions& options);

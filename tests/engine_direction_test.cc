@@ -2,11 +2,15 @@
 // execution must produce identical values for every algorithm — on the
 // static fixtures, on R-MAT, and on mutated views (pull over the reverse
 // overlay vs the folded-CSR reference). PR/PHP are pinned to push, so a
-// pull/auto request degrades to the paper's push pipeline for them.
+// pull/auto request degrades to the paper's push pipeline for them. The
+// scout-vs-scan comparison also asserts identical per-iteration traces; it
+// runs each arm as one batch, whose queries run serial kernels, so the
+// traces do not depend on how the pool's threads interleave.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -175,32 +179,64 @@ TEST(EngineDirectionTest, TraceRecordsChosenDirections) {
 /// the O(1) scout read picks the same direction every iteration as auto
 /// mode with the O(n_f) FrontierActiveEdges scan, and records the same m_f
 /// in the trace (the scout is exact, not an estimate).
+///
+/// Each arm runs as one RunBatch of all six algorithms. Queries in a batch
+/// of two or more run on pool shards, where the solver's kernels run
+/// serially, so each trace is a function of its inputs alone and the
+/// comparison sees only the scout. Two separate Run calls would not do:
+/// each shards its kernels over the pool, and which relaxations see each
+/// other inside an iteration (and inside its extra rounds) depends on
+/// thread timing, so per-iteration counts of SSSP/CC/SSWP/PR/PHP differ
+/// between two runs even with identical options. The batch must hold at
+/// least two queries: a one-query batch runs inline on the caller without
+/// the worker mark and keeps parallel kernels. Multi-shard scout
+/// exactness is checked at kernel level by KernelCountsTest.
 void ExpectScoutMatchesScan(Engine& engine, const std::string& graph_name) {
+  std::vector<Query> queries;
   for (AlgorithmId algorithm : kAllAlgorithms) {
     Query query;
     query.algorithm = algorithm;
-    const std::string what = graph_name + "/" + AlgorithmName(algorithm);
+    queries.push_back(query);
+  }
+  static_assert(std::size(kAllAlgorithms) >= 2,
+                "a batch of one keeps parallel kernels");
 
-    SolverOptions scan = WithDirection(TraversalDirection::kAuto);
-    scan.incremental_scout_count = false;
-    auto scanned = engine.Run(query, scan);
-    ASSERT_TRUE(scanned.ok()) << what << ": " << scanned.status().ToString();
+  SolverOptions scan = WithDirection(TraversalDirection::kAuto);
+  scan.incremental_scout_count = false;
+  auto scanned = engine.RunBatch(queries, scan);
+  ASSERT_TRUE(scanned.ok()) << graph_name << ": "
+                            << scanned.status().ToString();
 
-    Query pinned = query;
-    pinned.source = scanned->source;
-    auto scouted = engine.Run(pinned, WithDirection(TraversalDirection::kAuto));
-    ASSERT_TRUE(scouted.ok()) << what << ": " << scouted.status().ToString();
+  std::vector<Query> pinned = queries;
+  for (size_t q = 0; q < pinned.size(); ++q) {
+    pinned[q].source = (*scanned)[q].source;
+  }
+  auto scouted =
+      engine.RunBatch(pinned, WithDirection(TraversalDirection::kAuto));
+  ASSERT_TRUE(scouted.ok()) << graph_name << ": "
+                            << scouted.status().ToString();
 
-    ASSERT_EQ(scouted->trace.NumIterations(), scanned->trace.NumIterations())
+  size_t pull_iterations = 0;
+  for (size_t q = 0; q < queries.size(); ++q) {
+    const QueryResult& scout_result = (*scouted)[q];
+    const QueryResult& scan_result = (*scanned)[q];
+    const std::string what =
+        graph_name + "/" + AlgorithmName(queries[q].algorithm);
+    ASSERT_EQ(scout_result.trace.NumIterations(),
+              scan_result.trace.NumIterations())
         << what;
-    for (size_t i = 0; i < scanned->trace.iterations.size(); ++i) {
-      const IterationTrace& a = scouted->trace.iterations[i];
-      const IterationTrace& b = scanned->trace.iterations[i];
+    for (size_t i = 0; i < scan_result.trace.iterations.size(); ++i) {
+      const IterationTrace& a = scout_result.trace.iterations[i];
+      const IterationTrace& b = scan_result.trace.iterations[i];
       EXPECT_EQ(a.direction, b.direction) << what << " iteration " << i;
       EXPECT_EQ(a.active_edges, b.active_edges) << what << " iteration " << i;
     }
-    ExpectSameValues(*scouted, *scanned, what + " scout-vs-scan");
+    ExpectSameValues(scout_result, scan_result, what + " scout-vs-scan");
+    pull_iterations += scout_result.trace.PullIterations();
   }
+  // The scout feeds the push -> pull decision: a comparison in which auto
+  // never left push would not exercise it.
+  EXPECT_GT(pull_iterations, 0u) << graph_name;
 }
 
 TEST(EngineDirectionTest, ScoutCountMatchesBitmapScanDecisions) {
