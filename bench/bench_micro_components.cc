@@ -67,17 +67,21 @@ void BM_KernelRelaxation(benchmark::State& state) {
 // the calling thread's CPU time.
 BENCHMARK(BM_KernelRelaxation)->Arg(1)->Arg(16)->UseRealTime();
 
-// Dense PageRank push: every vertex active with its initial delta, so
-// nearly every edge improves its target — the per-edge activation cost the
-// accumulation family pays.
+// Dense PageRank push: every vertex active with its initial delta, each
+// edge's share added to its shard's row, then the barrier fold that merges
+// the rows and activates the targets — the per-edge cost the accumulation
+// family pays.
 void BM_PageRankDenseKernel(benchmark::State& state) {
   const CsrGraph& graph = BenchGraph();
+  const GraphView view = GraphView::Wrap(graph);
   const auto actives = EveryKthVertex(graph, 1);
+  ShareRows shares(graph.num_vertices());  // zero again after every fold
   uint64_t edges = 0;
   for (auto _ : state) {
     PageRankProgram program(graph);
     Frontier next(graph.num_vertices());
-    edges += RunKernel(graph, actives, program, &next);
+    edges += RunKernel(graph, actives, program, &next, &shares);
+    shares.Fold(view, 0, graph.num_vertices(), program, &next);
   }
   state.SetItemsProcessed(static_cast<int64_t>(edges));
 }

@@ -7,7 +7,9 @@
 // The program concept in one screen:
 //   using Value           — the per-vertex value type
 //   kNeedsWeights         — whether edge weights must be transferred
-//   kHasDelta             — whether DeltaOf(v) exists (Δ-driven priority)
+//   kHasDelta             — accumulation program: DeltaOf(v) exists
+//                           (Δ-driven priority) and Share/Apply replace
+//                           ProcessEdge (see PageRankProgram)
 //   InitFrontier(f)       — seed the first iteration
 //   BeginVertex(u, &ctx)  — load per-visit state; false skips u
 //   ProcessEdge(ctx,u,v,w)— relax one edge; true activates v

@@ -1,7 +1,8 @@
-// Lock-free primitives used by the vertex programs: CAS-loop atomic min
-// (value-selection algorithms) and atomic double add (accumulation
-// algorithms). These are the host-side equivalents of the CUDA atomicMin /
-// atomicAdd the paper's kernels rely on.
+// Lock-free primitive used by the value-selection vertex programs: CAS-loop
+// atomic min, the host-side equivalent of the CUDA atomicMin the paper's
+// kernels rely on. The accumulation programs (PR/PHP) need no atomics: the
+// kernels push their per-edge shares into shard-private rows that the
+// solver folds in shard order (ShareRows in engine/kernels.h).
 
 #ifndef HYTGRAPH_ALGORITHMS_ATOMIC_OPS_H_
 #define HYTGRAPH_ALGORITHMS_ATOMIC_OPS_H_
@@ -22,15 +23,6 @@ bool AtomicMin(std::atomic<T>* target, T value) {
     }
   }
   return false;
-}
-
-/// Atomically adds `value` to *target. Returns the previous value.
-inline double AtomicAddDouble(std::atomic<double>* target, double value) {
-  double current = target->load(std::memory_order_relaxed);
-  while (!target->compare_exchange_weak(current, current + value,
-                                        std::memory_order_relaxed)) {
-  }
-  return current;
 }
 
 }  // namespace hytgraph

@@ -9,7 +9,11 @@
 //    active pattern;
 //  * value-accumulation (PR, PHP): pending deltas accumulate until consumed
 //    — the "monotone decrease" active pattern; these expose DeltaOf() for
-//    Δ-driven contribution scheduling.
+//    Δ-driven contribution scheduling. They hold no atomics: Share(ctx, v,
+//    w) gives the message one edge carries, the kernels add it to the
+//    calling shard's private row, and the solver's fold (ShareRows in
+//    engine/kernels.h) sums the rows in shard order and hands each sum to
+//    Apply(v, sum), which reports whether v's delta reached epsilon.
 //
 // The value-selection family additionally implements the pull-direction
 // hooks (see RunPullKernel in engine/kernels.h): PullPotential(u) is the
@@ -307,11 +311,7 @@ class PageRankProgram {
       : graph_(view),
         options_(options),
         ranks_(view.num_vertices(), 0.0),
-        deltas_(view.num_vertices()) {
-    for (auto& delta : deltas_) {
-      delta.store(1.0 - options_.damping, std::memory_order_relaxed);
-    }
-  }
+        deltas_(view.num_vertices(), 1.0 - options_.damping) {}
 
   /// Static-graph convenience: the graph must outlive the program.
   explicit PageRankProgram(const CsrGraph& graph,
@@ -328,8 +328,12 @@ class PageRankProgram {
     double contribution;  // damping * delta / out_degree
   };
 
-  bool BeginVertex(VertexId u, VertexContext* ctx) {
-    const double delta = deltas_[u].exchange(0.0, std::memory_order_relaxed);
+  /// Consumes u's pending mass: its folded delta plus `own_share`, the
+  /// share the calling kernel shard pushed to u since the last fold (the
+  /// shard wrote it itself, so the kernel hands it over without a race).
+  bool BeginVertex(VertexId u, VertexContext* ctx, double own_share = 0.0) {
+    const double delta = deltas_[u] + own_share;
+    deltas_[u] = 0.0;
     if (delta == 0.0) return false;
     ranks_[u] += delta;  // consume: only this visit owns u's pending mass
     const EdgeId deg = graph_.out_degree(u);
@@ -338,22 +342,27 @@ class PageRankProgram {
     return true;
   }
 
-  bool ProcessEdge(const VertexContext& ctx, VertexId /*u*/, VertexId v,
-                   Weight /*w*/) {
-    const double before = AtomicAddDouble(&deltas_[v], ctx.contribution);
-    return before + ctx.contribution >= options_.epsilon;
+  /// The message edge (u, v) carries: an equal split of u's damped delta.
+  double Share(const VertexContext& ctx, VertexId /*v*/,
+               Weight /*w*/) const {
+    return ctx.contribution;
   }
 
-  double DeltaOf(VertexId v) const {
-    return deltas_[v].load(std::memory_order_relaxed);
+  /// Folds the shares v received into its pending delta; true once the
+  /// delta reaches epsilon (v activates).
+  bool Apply(VertexId v, double sum) {
+    deltas_[v] += sum;
+    return deltas_[v] >= options_.epsilon;
   }
+
+  double DeltaOf(VertexId v) const { return deltas_[v]; }
 
   std::vector<double> Values() const {
     // Rank = consumed mass + still-pending mass (so totals are exact even
     // for sub-epsilon residuals).
     std::vector<double> out(ranks_.size());
     for (size_t i = 0; i < ranks_.size(); ++i) {
-      out[i] = ranks_[i] + deltas_[i].load(std::memory_order_relaxed);
+      out[i] = ranks_[i] + deltas_[i];
     }
     return out;
   }
@@ -362,7 +371,7 @@ class PageRankProgram {
   GraphView graph_;  // overlay-adjusted out-degrees for the rank split
   PageRankOptions options_;
   std::vector<double> ranks_;
-  std::vector<std::atomic<double>> deltas_;
+  std::vector<double> deltas_;
 };
 
 struct PhpOptions {
@@ -386,10 +395,9 @@ class PhpProgram {
       : options_(options),
         source_(source),
         values_(view.num_vertices(), 0.0),
-        deltas_(view.num_vertices()),
+        deltas_(view.num_vertices(), 0.0),
         weight_sums_(view.num_vertices(), 0.0) {
-    for (auto& delta : deltas_) delta.store(0.0, std::memory_order_relaxed);
-    deltas_[source_].store(1.0, std::memory_order_relaxed);
+    deltas_[source_] = 1.0;
     // Weight sums cover the mutated adjacency. An unweighted graph keeps
     // all-zero sums (no propagation), matching the historical weights(v)
     // behaviour.
@@ -412,8 +420,11 @@ class PhpProgram {
     double scaled_delta;  // damping * delta / weight_sum(u)
   };
 
-  bool BeginVertex(VertexId u, VertexContext* ctx) {
-    const double delta = deltas_[u].exchange(0.0, std::memory_order_relaxed);
+  /// Consumes u's folded delta plus the calling shard's own pending share
+  /// (see PageRankProgram::BeginVertex).
+  bool BeginVertex(VertexId u, VertexContext* ctx, double own_share = 0.0) {
+    const double delta = deltas_[u] + own_share;
+    deltas_[u] = 0.0;
     if (delta == 0.0) return false;
     values_[u] += delta;
     if (weight_sums_[u] == 0.0) return false;
@@ -421,22 +432,26 @@ class PhpProgram {
     return true;
   }
 
-  bool ProcessEdge(const VertexContext& ctx, VertexId /*u*/, VertexId v,
-                   Weight w) {
-    if (v == source_) return false;  // penalty: discard mass entering source
-    const double msg = ctx.scaled_delta * static_cast<double>(w);
-    const double before = AtomicAddDouble(&deltas_[v], msg);
-    return before + msg >= options_.epsilon;
+  /// The message edge (u, v) carries, weighted by w; 0 into the source
+  /// (penalty: mass entering the source is discarded).
+  double Share(const VertexContext& ctx, VertexId v, Weight w) const {
+    if (v == source_) return 0.0;
+    return ctx.scaled_delta * static_cast<double>(w);
   }
 
-  double DeltaOf(VertexId v) const {
-    return deltas_[v].load(std::memory_order_relaxed);
+  /// Folds the shares v received into its pending delta; true once the
+  /// delta reaches epsilon (v activates).
+  bool Apply(VertexId v, double sum) {
+    deltas_[v] += sum;
+    return deltas_[v] >= options_.epsilon;
   }
+
+  double DeltaOf(VertexId v) const { return deltas_[v]; }
 
   std::vector<double> Values() const {
     std::vector<double> out(values_.size());
     for (size_t i = 0; i < values_.size(); ++i) {
-      out[i] = values_[i] + deltas_[i].load(std::memory_order_relaxed);
+      out[i] = values_[i] + deltas_[i];
     }
     return out;
   }
@@ -445,7 +460,7 @@ class PhpProgram {
   PhpOptions options_;
   VertexId source_;
   std::vector<double> values_;
-  std::vector<std::atomic<double>> deltas_;
+  std::vector<double> deltas_;
   std::vector<double> weight_sums_;
 };
 

@@ -317,10 +317,14 @@ class Engine {
   /// cached preparations. Results are index-aligned with `queries`, with
   /// values equal to sequential Run calls (within the accumulation
   /// tolerance for PR/PHP); the first failing query's status is returned on
-  /// error. In a batch of two or more, each query's kernels run serially on
-  /// its pool shard, so its per-iteration frontier counts are reproducible
-  /// run to run (a lone Run's kernels span the pool threads, and those
-  /// counts then depend on thread timing).
+  /// error. A one-query batch runs on the caller exactly like Run. In a
+  /// batch of two or more, each query's kernels run serially on its pool
+  /// shard. Reproducibility per family: PR/PHP values and traces are
+  /// bitwise reproducible at a fixed pool size, alone and in batches (a
+  /// batch of two or more is its own, serial schedule); the value-selection
+  /// family's values are exact everywhere, but its per-iteration counts are
+  /// reproducible only with serial kernels (batches of two or more), since
+  /// a lone Run's kernels span the pool threads.
   Result<std::vector<QueryResult>> RunBatch(const std::vector<Query>& queries);
   Result<std::vector<QueryResult>> RunBatch(const std::vector<Query>& queries,
                                             const SolverOptions& options);

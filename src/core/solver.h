@@ -30,9 +30,18 @@
 //   4. Order tasks (contribution-driven priority scheduling)
 //   5. Execute: host threads produce exact results while the PCIe/compute
 //      models accumulate simulated time on a multi-stream timeline
-//   6. Swap frontiers; repeat to convergence.
+//   6. Barrier: fold the accumulation programs' share rows (below); swap
+//      frontiers; repeat to convergence.
 //
-// Program concept:
+// Accumulation programs (kHasDelta: PR/PHP) push each edge's share into a
+// shard-private row (ShareRows, engine/kernels.h) instead of a shared
+// atomic. The rows are allocated once per Run and folded into the deltas
+// in shard order at the iteration barrier, and over a task's partitions
+// before each of its extra rounds, so the round still consumes the mass
+// that landed in its loaded subgraph. Their values and traces are
+// therefore bitwise reproducible at a fixed pool size; they run one lane.
+//
+// Program concept (per-edge hooks: see engine/kernels.h):
 //   struct Program {
 //     using Value = ...;
 //     static constexpr bool kNeedsWeights;  // SSSP/PHP: true
@@ -40,8 +49,8 @@
 //     void InitFrontier(Frontier* frontier);
 //     struct VertexContext {...};
 //     bool BeginVertex(VertexId u, VertexContext* ctx);
-//     bool ProcessEdge(const VertexContext& ctx, VertexId u, VertexId v,
-//                      Weight w);
+//     bool ProcessEdge(...);                // only if !kHasDelta
+//     double Share(...); bool Apply(...);   // only if kHasDelta
 //     double DeltaOf(VertexId v) const;     // only if kHasDelta
 //   };
 
@@ -194,6 +203,7 @@ class Solver {
     }
     stats_.Reset();
     if (um_engine_ != nullptr) um_engine_->Invalidate();
+    if constexpr (Program::kHasDelta) shares_ = ShareRows(view_.num_vertices());
 
     // Parallel partition execution: resolve the lane count once per run and
     // fix each lane's partition ownership for the query's lifetime.
@@ -333,6 +343,12 @@ class Solver {
 
         // Recycle the active-list allocation into the next iteration.
         actives_scratch_ = std::move(state.actives);
+      }
+
+      if constexpr (Program::kHasDelta) {
+        // Merge every shard's shares into the deltas; the vertices that
+        // reach epsilon join the next frontier before it is final.
+        shares_.Fold(view_, 0, view_.num_vertices(), *program, next);
       }
 
       // Iteration barrier: next iteration's active set is now final — post
@@ -478,9 +494,12 @@ class Solver {
   /// executes with. 0 = hardware concurrency; always 1 when the solver is
   /// already running on a pool worker (batched / fused serving queries:
   /// the batch is the parallel unit — lanes under every query would
-  /// oversubscribe the machine) and for the unified-memory baselines
-  /// (their page cache is stateful and access-order dependent).
+  /// oversubscribe the machine), for the unified-memory baselines (their
+  /// page cache is stateful and access-order dependent) and for the
+  /// accumulation programs (their shares go to per-shard rows, which
+  /// concurrent lanes would share as shard 0).
   int ResolveLaneCount() const {
+    if constexpr (Program::kHasDelta) return 1;
     int lanes = options_.num_workers;
     if (lanes == 0) {
       lanes = static_cast<int>(std::thread::hardware_concurrency());
@@ -839,6 +858,8 @@ class Solver {
   /// Frontier on the sequential path or the LaneSink under lanes — a
   /// task's partitions are always lane-owned, so the collect/deactivate
   /// cycle below stays entirely within the lane-local frontier there.
+  /// An accumulation program first folds the shares of the task's
+  /// partitions, which activates the vertices they lifted to epsilon.
   template <typename Sink>
   uint64_t RunExtraRounds(const Task& task,
                           const std::vector<VertexId>* membership,
@@ -852,13 +873,17 @@ class Solver {
       pending.clear();
       for (uint32_t p : task.partitions) {
         const Partition& part = partitions_[p];
+        if constexpr (Program::kHasDelta) {
+          shares_.Fold(view_, part.first_vertex, part.last_vertex, *program,
+                       next);
+        }
         next->CollectRange(part.first_vertex, part.last_vertex, &pending);
       }
       // Task partitions ascend, so `pending` does, as does `membership`
       // (their actives, concatenated).
       DrainPending(view_, membership, &pending, next);
       if (pending.empty()) break;
-      edges += RunKernel(view_, pending, *program, next);
+      edges += RunKernel(view_, pending, *program, next, &shares_);
     }
     return edges;
   }
@@ -881,7 +906,7 @@ class Solver {
         stats_.AddExplicit(bytes, tlps);
         st.transfer_seconds = pcie_->ExplicitCopySeconds(bytes) +
                               options_.task_overhead_seconds;
-        uint64_t edges = RunKernel(view_, actives, *program, next);
+        uint64_t edges = RunKernel(view_, actives, *program, next, &shares_);
         if (options_.extra_rounds != 0) {
           // Whole partitions are on the GPU: any vertex in range can be
           // recomputed without further transfer.
@@ -907,7 +932,8 @@ class Solver {
         st.transfer_seconds = pcie_->ExplicitCopySeconds(bytes) +
                               options_.task_overhead_seconds;
 
-        uint64_t edges = RunKernelOnSubCsr(view_, compact.sub, *program, next);
+        uint64_t edges = RunKernelOnSubCsr(view_, compact.sub, *program, next,
+                                           &shares_);
         if (options_.extra_rounds != 0) {
           // Only the compacted vertices' edges are on the GPU.
           edges += RunExtraRounds(task, &actives, next, program);
@@ -934,7 +960,8 @@ class Solver {
             options_.task_overhead_seconds;
         // No extra rounds: zero-copy loads nothing, re-access would pay the
         // PCIe cost again (Section VI-A applies to *loaded* subgraphs).
-        const uint64_t edges = RunKernel(view_, actives, *program, next);
+        const uint64_t edges =
+            RunKernel(view_, actives, *program, next, &shares_);
         stats_.AddKernelEdges(edges);
         st.kernel_seconds = gpu_model_->SecondsForEdges(edges) +
                             options_.task_overhead_seconds;
@@ -975,14 +1002,16 @@ class Solver {
           transfer += pcie_->ZeroCopySeconds(spill_requests, ratio);
         }
         st.transfer_seconds = transfer + options_.task_overhead_seconds;
-        const uint64_t edges = RunKernel(view_, actives, *program, next);
+        const uint64_t edges =
+            RunKernel(view_, actives, *program, next, &shares_);
         stats_.AddKernelEdges(edges);
         st.kernel_seconds = gpu_model_->SecondsForEdges(edges) +
                             options_.task_overhead_seconds;
         break;
       }
       case EngineKind::kCpu: {
-        const uint64_t edges = RunKernel(view_, actives, *program, next);
+        const uint64_t edges =
+            RunKernel(view_, actives, *program, next, &shares_);
         stats_.AddKernelEdges(edges);
         st.kernel_seconds = cpu_model_->SecondsForEdges(edges);
         break;
@@ -998,6 +1027,9 @@ class Solver {
   bool initialized_ = false;
   /// Recycled active-list buffer (one collect per push iteration).
   std::vector<VertexId> actives_scratch_;
+  /// Per-shard share rows of an accumulation program (empty otherwise),
+  /// allocated at the start of each Run.
+  ShareRows shares_;
 
   std::vector<Partition> partitions_;
   std::unique_ptr<DeviceMemory> device_memory_;

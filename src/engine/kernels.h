@@ -15,8 +15,13 @@
 //   struct P {
 //     using VertexContext = ...;       // per-source state for one visit
 //     bool BeginVertex(VertexId u, VertexContext* ctx);   // false: skip u
+//     // Value-selection family (kHasDelta == false): relax in place.
 //     bool ProcessEdge(const VertexContext& ctx, VertexId u, VertexId v,
 //                      Weight w);      // true: v's value changed, activate
+//     // Accumulation family (kHasDelta == true): push shares, see ShareRows.
+//     bool BeginVertex(VertexId u, VertexContext* ctx, double own_share);
+//     double Share(const VertexContext& ctx, VertexId v, Weight w);
+//     bool Apply(VertexId v, double sum);  // true: delta reached epsilon
 //   };
 
 #ifndef HYTGRAPH_ENGINE_KERNELS_H_
@@ -27,12 +32,14 @@
 #include <concepts>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "engine/compactor.h"
 #include "engine/frontier.h"
 #include "graph/csr_graph.h"
 #include "graph/graph_view.h"
+#include "util/logging.h"
 #include "util/thread_pool.h"
 
 namespace hytgraph {
@@ -41,8 +48,9 @@ namespace hytgraph {
 /// exposes a per-vertex potential (the best value an active vertex could
 /// write this iteration) and a settled test against the frontier-wide
 /// floor. Delta-accumulation programs (PR/PHP) are excluded structurally:
-/// their BeginVertex consumes the pending delta, so calling it once per
-/// in-edge (as pull does) would double-count mass.
+/// they relax nothing in place (their kernels push per-edge shares into
+/// ShareRows), and their BeginVertex consumes the pending delta, so calling
+/// it once per in-edge (as pull does) would double-count mass.
 template <typename P>
 concept PullCapableProgram =
     !P::kHasDelta && requires(const P& p, VertexId v) {
@@ -89,31 +97,134 @@ class ShardActivations {
   int64_t scout_ = 0;
 };
 
+/// Shard-private share rows for the accumulation programs (kHasDelta): n
+/// doubles per shard the caller's kernels can run on — one per pool thread
+/// for a top-level caller, one on a pool worker, whose nested kernels run
+/// inline as shard 0. A push kernel adds each edge's Program::Share to the
+/// calling shard's row with a plain add, so no atomic is needed; Fold
+/// merges the rows into the program's deltas. Allocate once per run: the
+/// rows are reused across kernels and stay zero wherever they were folded.
+class ShareRows {
+ public:
+  ShareRows() = default;
+  explicit ShareRows(VertexId num_vertices)
+      : num_vertices_(num_vertices),
+        num_rows_(ThreadPool::InWorkerThread()
+                      ? 1
+                      : ThreadPool::Default()->num_threads()),
+        shares_(static_cast<size_t>(num_rows_) * num_vertices, 0.0) {}
+
+  double* Row(int shard) {
+    HYT_CHECK_LT(shard, num_rows_);
+    return shares_.data() + static_cast<size_t>(shard) * num_vertices_;
+  }
+
+  /// Merges the rows over vertices [begin, end) into `program`: each
+  /// vertex's shares are summed in shard order (the same sum run to run at
+  /// a fixed pool size), zeroed, and handed to Program::Apply; vertices
+  /// whose delta reached epsilon activate in `next` through
+  /// ShardActivations, so its scout count stays exact. No kernel may run
+  /// during a fold.
+  template <typename Program, typename Sink>
+  void Fold(const GraphView& view, VertexId begin, VertexId end,
+            Program& program, Sink* next) {
+    if (begin >= end) return;
+    ThreadPool::Default()->ParallelFor(
+        end - begin,
+        [&](int /*shard*/, uint64_t lo, uint64_t hi) {
+          ShardActivations<Sink> activations(view, next);
+          for (uint64_t i = lo; i < hi; ++i) {
+            const VertexId v = begin + static_cast<VertexId>(i);
+            double sum = 0.0;
+            for (int r = 0; r < num_rows_; ++r) {
+              double& share =
+                  shares_[static_cast<size_t>(r) * num_vertices_ + v];
+              if (share != 0.0) {
+                sum += share;
+                share = 0.0;
+              }
+            }
+            if (sum != 0.0 && program.Apply(v, sum)) activations.Activate(v);
+          }
+          activations.Publish();
+        },
+        /*min_grain=*/4096);
+  }
+
+ private:
+  size_t num_vertices_ = 0;
+  int num_rows_ = 0;
+  std::vector<double> shares_;
+};
+
+/// One kernel shard's push visits, shared by RunKernel and
+/// RunKernelOnSubCsr. A value-selection program relaxes each edge in place
+/// (ProcessEdge) and activates changed targets; an accumulation program
+/// adds each edge's share to the shard's row (activation waits for
+/// ShareRows::Fold) and, visiting u, consumes the share the shard itself
+/// pushed to u since the last fold.
+template <typename Program, typename Sink>
+class PushShard {
+ public:
+  using Context = typename Program::VertexContext;
+
+  PushShard(const GraphView& view, Program& program, Sink* next,
+            ShareRows* shares, int shard)
+      : program_(program), activations_(view, next) {
+    if constexpr (Program::kHasDelta) row_ = shares->Row(shard);
+  }
+
+  bool Begin(VertexId u, Context* ctx) {
+    if constexpr (Program::kHasDelta) {
+      return program_.BeginVertex(u, ctx, std::exchange(row_[u], 0.0));
+    } else {
+      return program_.BeginVertex(u, ctx);
+    }
+  }
+
+  void Edge(const Context& ctx, VertexId u, VertexId v, Weight w) {
+    if constexpr (Program::kHasDelta) {
+      row_[v] += program_.Share(ctx, v, w);
+    } else if (program_.ProcessEdge(ctx, u, v, w)) {
+      activations_.Activate(v);
+    }
+  }
+
+  void Publish() { activations_.Publish(); }
+
+ private:
+  Program& program_;
+  ShardActivations<Sink> activations_;
+  double* row_ = nullptr;
+};
+
 /// Relaxes all out-edges of every vertex in `actives` against `view`,
-/// activating changed targets in `next` (see ShardActivations). Returns
-/// the number of edges processed (the kernel-time unit).
+/// activating changed targets in `next` (see ShardActivations), or, for an
+/// accumulation program, pushing their shares into `shares` (see
+/// PushShard). Returns the number of edges processed (the kernel-time
+/// unit).
 template <typename Program, typename Sink = Frontier>
 uint64_t RunKernel(const GraphView& view, std::span<const VertexId> actives,
-                   Program& program, Sink* next) {
+                   Program& program, Sink* next, ShareRows* shares = nullptr) {
   if (actives.empty()) return 0;
   std::atomic<uint64_t> edges_processed{0};
   ThreadPool::Default()->ParallelFor(
       actives.size(),
-      [&](int /*shard*/, uint64_t begin, uint64_t end) {
+      [&](int shard, uint64_t begin, uint64_t end) {
         uint64_t local_edges = 0;
-        ShardActivations<Sink> activations(view, next);
+        PushShard<Program, Sink> push(view, program, next, shares, shard);
         // One lease per shard: active lists are sorted ascending, so an
         // out-of-core base pays one cache acquire per block, not per vertex.
         BlockRef lease;
         for (uint64_t i = begin; i < end; ++i) {
           const VertexId u = actives[i];
           typename Program::VertexContext ctx;
-          if (!program.BeginVertex(u, &ctx)) continue;
+          if (!push.Begin(u, &ctx)) continue;
           if (view.HasDelta(u)) {
             // Merged adjacency: surviving base edges, then overlay inserts.
             view.ForEachNeighborLeased(u, &lease, [&](VertexId v, Weight w) {
               ++local_edges;
-              if (program.ProcessEdge(ctx, u, v, w)) activations.Activate(v);
+              push.Edge(ctx, u, v, w);
             });
             continue;
           }
@@ -124,20 +235,14 @@ uint64_t RunKernel(const GraphView& view, std::span<const VertexId> actives,
           // Weightedness is a graph property, not a per-edge one: branch
           // once per vertex, not once per edge.
           if (wts.empty()) {
-            for (const VertexId v : nbrs) {
-              if (program.ProcessEdge(ctx, u, v, Weight{1})) {
-                activations.Activate(v);
-              }
-            }
+            for (const VertexId v : nbrs) push.Edge(ctx, u, v, Weight{1});
           } else {
             for (size_t e = 0; e < nbrs.size(); ++e) {
-              if (program.ProcessEdge(ctx, u, nbrs[e], wts[e])) {
-                activations.Activate(nbrs[e]);
-              }
+              push.Edge(ctx, u, nbrs[e], wts[e]);
             }
           }
         }
-        activations.Publish();
+        push.Publish();
         edges_processed.fetch_add(local_edges, std::memory_order_relaxed);
       },
       /*min_grain=*/64);
@@ -177,8 +282,9 @@ void DrainPending(const GraphView& view,
 /// non-owning view over `graph`.
 template <typename Program>
 uint64_t RunKernel(const CsrGraph& graph, std::span<const VertexId> actives,
-                   Program& program, Frontier* next) {
-  return RunKernel(GraphView::Wrap(graph), actives, program, next);
+                   Program& program, Frontier* next,
+                   ShareRows* shares = nullptr) {
+  return RunKernel(GraphView::Wrap(graph), actives, program, next, shares);
 }
 
 /// Pull-mode relaxation: for every candidate vertex v (dense scan over the
@@ -308,29 +414,28 @@ uint64_t RunPullKernel(const GraphView& view, const Frontier& current,
 /// compacted vertex set, so the sub-CSR's own offsets can't supply them).
 template <typename Program, typename Sink = Frontier>
 uint64_t RunKernelOnSubCsr(const GraphView& view, const SubCsr& sub,
-                           Program& program, Sink* next) {
+                           Program& program, Sink* next,
+                           ShareRows* shares = nullptr) {
   if (sub.vertices.empty()) return 0;
   std::atomic<uint64_t> edges_processed{0};
   ThreadPool::Default()->ParallelFor(
       sub.vertices.size(),
-      [&](int /*shard*/, uint64_t begin, uint64_t end) {
+      [&](int shard, uint64_t begin, uint64_t end) {
         uint64_t local_edges = 0;
-        ShardActivations<Sink> activations(view, next);
+        PushShard<Program, Sink> push(view, program, next, shares, shard);
         for (uint64_t i = begin; i < end; ++i) {
           const VertexId u = sub.vertices[i];
           typename Program::VertexContext ctx;
-          if (!program.BeginVertex(u, &ctx)) continue;
+          if (!push.Begin(u, &ctx)) continue;
           const EdgeId lo = sub.row_offsets[i];
           const EdgeId hi = sub.row_offsets[i + 1];
           local_edges += hi - lo;
           for (EdgeId e = lo; e < hi; ++e) {
             const Weight w = sub.weights.empty() ? Weight{1} : sub.weights[e];
-            if (program.ProcessEdge(ctx, u, sub.column_index[e], w)) {
-              activations.Activate(sub.column_index[e]);
-            }
+            push.Edge(ctx, u, sub.column_index[e], w);
           }
         }
-        activations.Publish();
+        push.Publish();
         edges_processed.fetch_add(local_edges, std::memory_order_relaxed);
       },
       /*min_grain=*/64);

@@ -22,12 +22,6 @@ TEST(AtomicOpsTest, AtomicMinOnlyDecreases) {
   EXPECT_FALSE(AtomicMin(&value, 5u));
 }
 
-TEST(AtomicOpsTest, AtomicAddDoubleReturnsPrevious) {
-  std::atomic<double> value{1.5};
-  EXPECT_DOUBLE_EQ(AtomicAddDouble(&value, 2.0), 1.5);
-  EXPECT_DOUBLE_EQ(value.load(), 3.5);
-}
-
 TEST(BfsProgramTest, InitialState) {
   const CsrGraph g = PaperFigure1Graph();
   BfsProgram program(g, 2);
@@ -114,7 +108,20 @@ TEST(PageRankProgramTest, BeginVertexConsumesDelta) {
   EXPECT_FALSE(program.BeginVertex(0, &ctx));
 }
 
-TEST(PageRankProgramTest, ProcessEdgeActivatesAboveEpsilon) {
+TEST(PageRankProgramTest, BeginVertexConsumesTheShardsOwnShare) {
+  const CsrGraph g = PaperFigure1Graph();
+  PageRankProgram program(g);
+  PageRankProgram::VertexContext ctx;
+  ASSERT_TRUE(program.BeginVertex(0, &ctx, /*own_share=*/0.05));
+  EXPECT_DOUBLE_EQ(ctx.contribution, 0.85 * (0.15 + 0.05) / 2);
+  EXPECT_DOUBLE_EQ(program.DeltaOf(0), 0.0);
+  EXPECT_DOUBLE_EQ(program.Values()[0], 0.15 + 0.05);  // consumed into rank
+  // An own share alone is pending mass too.
+  EXPECT_TRUE(program.BeginVertex(0, &ctx, 0.02));
+  EXPECT_DOUBLE_EQ(ctx.contribution, 0.85 * 0.02 / 2);
+}
+
+TEST(PageRankProgramTest, ApplyActivatesAboveEpsilon) {
   const CsrGraph g = PaperFigure1Graph();
   PageRankOptions opts;
   opts.epsilon = 0.01;
@@ -123,9 +130,11 @@ TEST(PageRankProgramTest, ProcessEdgeActivatesAboveEpsilon) {
   PageRankProgram::VertexContext drain;
   program.BeginVertex(1, &drain);
   PageRankProgram::VertexContext ctx{0.004};
-  EXPECT_FALSE(program.ProcessEdge(ctx, 0, 1, 1));  // 0.004 < eps
-  EXPECT_FALSE(program.ProcessEdge(ctx, 0, 1, 1));  // 0.008 < eps
-  EXPECT_TRUE(program.ProcessEdge(ctx, 0, 1, 1));   // 0.012 >= eps
+  const double share = program.Share(ctx, 1, 1);
+  EXPECT_DOUBLE_EQ(share, 0.004);  // the contribution, whatever the target
+  EXPECT_FALSE(program.Apply(1, share));  // 0.004 < eps
+  EXPECT_FALSE(program.Apply(1, share));  // 0.008 < eps
+  EXPECT_TRUE(program.Apply(1, share));   // 0.012 >= eps
   EXPECT_DOUBLE_EQ(program.DeltaOf(1), 0.012);
 }
 
@@ -147,7 +156,8 @@ TEST(PhpProgramTest, MassEnteringSourceIsDiscarded) {
   const CsrGraph g = PaperFigure1Graph();
   PhpProgram program(g, 0);
   PhpProgram::VertexContext ctx{0.5};
-  EXPECT_FALSE(program.ProcessEdge(ctx, 5, 0, 3));  // edge into source
+  EXPECT_EQ(program.Share(ctx, 0, 3), 0.0);         // edge into source
+  EXPECT_DOUBLE_EQ(program.Share(ctx, 1, 3), 1.5);  // any other target
   EXPECT_DOUBLE_EQ(program.DeltaOf(0), 1.0);        // unchanged
 }
 
@@ -158,7 +168,7 @@ TEST(PhpProgramTest, PropagationWeightNormalized) {
   ASSERT_TRUE(program.BeginVertex(0, &ctx));
   // a's out-weights: 2 (to b) + 6 (to c) = 8; scaled = 0.8 * 1.0 / 8 = 0.1.
   EXPECT_DOUBLE_EQ(ctx.scaled_delta, 0.1);
-  program.ProcessEdge(ctx, 0, 1, 2);
+  EXPECT_TRUE(program.Apply(1, program.Share(ctx, 1, 2)));
   EXPECT_DOUBLE_EQ(program.DeltaOf(1), 0.2);  // 0.1 * weight 2
 }
 

@@ -251,6 +251,16 @@ void RunCheckingCounts(const GraphView& view, Program& program,
   Frontier* current = &a;
   Frontier* next = &b;
   program.InitFrontier(current);
+  // An accumulation program activates nothing until its shares are
+  // folded: fold after every kernel, so the counts checked below cover
+  // the fold's activations and the drain sees a real frontier.
+  ShareRows shares(view.num_vertices());
+  uint64_t first_fold_active = 0;
+  const auto fold = [&] {
+    if constexpr (Program::kHasDelta) {
+      shares.Fold(view, 0, view.num_vertices(), program, next);
+    }
+  };
   size_t widest = 0;
   for (int iter = 0; iter < 8 && !current->Empty(); ++iter) {
     const std::string what = name + " iteration " + std::to_string(iter);
@@ -259,10 +269,12 @@ void RunCheckingCounts(const GraphView& view, Program& program,
     if (path == KernelPath::kSubCsr) {
       const auto compact = CompactActiveEdges(
           view, actives, Program::kNeedsWeights && view.is_weighted());
-      RunKernelOnSubCsr(view, compact.sub, program, next);
+      RunKernelOnSubCsr(view, compact.sub, program, next, &shares);
     } else {
-      RunKernel(view, actives, program, next);
+      RunKernel(view, actives, program, next, &shares);
     }
+    fold();
+    if (iter == 0) first_fold_active = next->CountActive();
     ExpectCountsMatchBitmap(view, *next, what + " kernel");
 
     std::vector<VertexId> pending;
@@ -270,7 +282,8 @@ void RunCheckingCounts(const GraphView& view, Program& program,
     DrainPending(view, path == KernelPath::kSubCsr ? &actives : nullptr,
                  &pending, next);
     ExpectCountsMatchBitmap(view, *next, what + " drain");
-    RunKernel(view, pending, program, next);
+    RunKernel(view, pending, program, next, &shares);
+    fold();
     ExpectCountsMatchBitmap(view, *next, what + " extra round");
 
     std::swap(current, next);
@@ -279,6 +292,11 @@ void RunCheckingCounts(const GraphView& view, Program& program,
   // Kernels shard at 64 actives: a wider frontier ran on several shards
   // wherever the pool has more than one thread.
   EXPECT_GT(widest, 4u * 64u) << name;
+  if constexpr (Program::kHasDelta) {
+    // Without the fold `next` stays empty and every check above holds
+    // vacuously: the first fold must activate a multi-shard frontier.
+    EXPECT_GT(first_fold_active, 4u * 64u) << name;
+  }
 }
 
 /// Scale-12 RMAT with an overlay that gives a third of the vertices an

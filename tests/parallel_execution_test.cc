@@ -4,8 +4,12 @@
 // out-of-core streaming — the values at 2/4/8 worker lanes must equal the
 // num_workers=1 sequential reference path: bitwise for the value-selection
 // family (their fixed points are unique and u32), within accumulation
-// tolerance for the f64 delta-accumulation family (PR/PHP), whose update
-// order legitimately varies across lane counts.
+// tolerance for the f64 delta-accumulation family (PR/PHP).
+//
+// PR/PHP run one lane and fold their shard-private share rows in shard
+// order, so at a fixed pool size they are reproducible outright: values
+// and the whole trace are bitwise equal run to run, at any num_workers,
+// and for a lone Run and a one-query RunBatch (DeltaDeterminismTest).
 //
 // The merged-frontier determinism check runs on BFS with the in-iteration
 // extra rounds off, because those rounds are the one intentionally
@@ -31,6 +35,7 @@
 #include <thread>
 #include <vector>
 
+#include "algorithms/reference.h"
 #include "core/engine.h"
 #include "dynamic/mutation.h"
 #include "test_graphs.h"
@@ -295,6 +300,84 @@ TEST(ParallelExecutionLaneCountTest, ConcurrentMultiLaneQueriesShareThePool) {
     for (const std::string& failure : failures[t]) {
       ADD_FAILURE() << "caller " << t << ": " << failure;
     }
+  }
+}
+
+constexpr AlgorithmId kDeltaAlgorithms[] = {AlgorithmId::kPageRank,
+                                            AlgorithmId::kPhp};
+
+/// Bitwise equal values and trace: the iteration count, each iteration's
+/// frontier and kernel work, and the simulated time.
+void ExpectSameRun(const QueryResult& got, const QueryResult& want,
+                   const std::string& label) {
+  EXPECT_EQ(got.f64(), want.f64()) << label << ": values differ";
+  EXPECT_EQ(got.trace.total_sim_seconds, want.trace.total_sim_seconds)
+      << label;
+  ASSERT_EQ(got.trace.iterations.size(), want.trace.iterations.size())
+      << label;
+  for (size_t i = 0; i < want.trace.iterations.size(); ++i) {
+    const IterationTrace& g = got.trace.iterations[i];
+    const IterationTrace& w = want.trace.iterations[i];
+    EXPECT_EQ(g.active_vertices, w.active_vertices) << label << " iter " << i;
+    EXPECT_EQ(g.active_edges, w.active_edges) << label << " iter " << i;
+    EXPECT_EQ(g.transfers.kernel_edges, w.transfers.kernel_edges)
+        << label << " iter " << i;
+  }
+}
+
+TEST(DeltaDeterminismTest, RunsAreBitwiseReproducible) {
+  auto engine = MakeEngine(Context::kStatic, /*num_workers=*/1);
+  for (AlgorithmId algorithm : kDeltaAlgorithms) {
+    const QueryResult first = RunOne(*engine, algorithm);
+    ASSERT_GT(first.trace.iterations.size(), 1u);
+    for (int run = 1; run < 3; ++run) {
+      ExpectSameRun(RunOne(*engine, algorithm), first,
+                    std::string(AlgorithmName(algorithm)) + " run " +
+                        std::to_string(run));
+    }
+  }
+}
+
+TEST(DeltaDeterminismTest, ValuesMatchTheSynchronousReference) {
+  auto engine = MakeEngine(Context::kStatic, /*num_workers=*/1);
+  for (AlgorithmId algorithm : kDeltaAlgorithms) {
+    const QueryResult got = RunOne(*engine, algorithm);
+    const std::vector<double> want =
+        algorithm == AlgorithmId::kPageRank
+            ? ReferencePageRank(engine->graph())
+            : ReferencePhp(engine->graph(), QueryFor(algorithm).source);
+    ASSERT_EQ(got.f64().size(), want.size());
+    for (size_t v = 0; v < want.size(); ++v) {
+      ASSERT_NEAR(got.f64()[v], want[v], 2e-3)
+          << AlgorithmName(algorithm) << " vertex " << v;
+    }
+  }
+}
+
+/// Lanes would share the shard-0 share row, so the accumulation programs
+/// resolve to one lane whatever num_workers asks for, and run exactly the
+/// sequential path.
+TEST(DeltaDeterminismTest, WorkersRequestRunsOneLane) {
+  auto sequential = MakeEngine(Context::kStatic, /*num_workers=*/1);
+  auto wide = MakeEngine(Context::kStatic, /*num_workers=*/4);
+  for (AlgorithmId algorithm : kDeltaAlgorithms) {
+    const QueryResult got = RunOne(*wide, algorithm);
+    EXPECT_EQ(got.trace.num_lanes, 1) << AlgorithmName(algorithm);
+    ExpectSameRun(got, RunOne(*sequential, algorithm),
+                  std::string(AlgorithmName(algorithm)) + " at 4 workers");
+  }
+}
+
+/// A one-query batch runs on the caller like a lone Run, so it is the
+/// same run bit for bit.
+TEST(DeltaDeterminismTest, OneQueryBatchEqualsRun) {
+  auto engine = MakeEngine(Context::kStatic, /*num_workers=*/1);
+  for (AlgorithmId algorithm : kDeltaAlgorithms) {
+    auto batch = engine->RunBatch({QueryFor(algorithm)});
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    ASSERT_EQ(batch->size(), 1u);
+    ExpectSameRun((*batch)[0], RunOne(*engine, algorithm),
+                  std::string(AlgorithmName(algorithm)) + " batch of one");
   }
 }
 
