@@ -49,7 +49,6 @@ struct CliOptions {
   int64_t source = -1;  // -1: engine default (highest out-degree vertex)
   int batch_sources = 0;  // >0: batch over the top-N out-degree sources
   int streams = 4;
-  int threads = 1;  // solver worker lanes; 0 = auto (hardware concurrency)
   bool trace = false;
   uint64_t seed = 42;
   std::string direction;  // push (default) | pull | auto
@@ -82,12 +81,6 @@ void PrintUsage() {
       "  --batch-sources N            run N queries from the top-N degree\n"
       "                               sources as one batch\n"
       "  --streams N                  CUDA streams (default 4)\n"
-      "  --threads N                  solver worker lanes: partitions are\n"
-      "                               split over N host threads with lane-\n"
-      "                               local frontiers merged at the\n"
-      "                               iteration barrier. 1 (default) is the\n"
-      "                               sequential reference path; 0 = auto\n"
-      "                               (hardware concurrency)\n"
       "  --direction D                push|pull|auto (default push):\n"
       "                               traversal direction. 'auto' picks per\n"
       "                               iteration (Beamer-style) between push\n"
@@ -221,8 +214,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* cli) {
       cli->beta = value;
     } else if (arg == "--streams") {
       cli->streams = std::atoi(value);
-    } else if (arg == "--threads") {
-      cli->threads = std::atoi(value);
     } else {
       std::fprintf(stderr, "unknown option: %s\n", arg.c_str());
       return false;
@@ -433,13 +424,6 @@ void PrintTrace(const RunTrace& trace) {
                   FormatDouble(it.sim_seconds * 1e3, 3)});
   }
   table.Print();
-  if (trace.num_lanes > 1) {
-    std::printf("lanes: %d workers, utilization %.3f "
-                "(%.3f ms busy across lanes / %.3f ms critical path)\n",
-                trace.num_lanes, trace.LaneUtilization(),
-                trace.lane_busy_seconds * 1e3,
-                trace.lane_critical_seconds * 1e3);
-  }
 }
 
 }  // namespace
@@ -497,11 +481,6 @@ int main(int argc, char** argv) {
   }
   SolverOptions options = SolverOptions::Defaults(*system);
   options.num_streams = cli.streams;
-  if (cli.threads < 0) {
-    std::fprintf(stderr, "--threads must be >= 0 (0 = auto)\n");
-    return 2;
-  }
-  options.num_workers = cli.threads;
   if (!cli.direction.empty()) {
     auto direction = ParseTraversalDirection(cli.direction);
     if (!direction.ok()) {

@@ -115,9 +115,6 @@ Status SolverOptions::Validate() const {
   if (num_streams < 1) {
     return Status::InvalidArgument("num_streams must be >= 1");
   }
-  if (num_workers < 0) {
-    return Status::InvalidArgument("num_workers must be >= 0 (0 = auto)");
-  }
   if (gpu.pcie_bandwidth <= 0 || gpu.mem_bandwidth <= 0) {
     return Status::InvalidArgument("gpu spec not initialized");
   }

@@ -66,16 +66,6 @@ struct SolverOptions {
   double hub_fraction = 0.08;
   int num_streams = 4;
 
-  /// --- Parallel partition execution (beyond the paper) ---
-  /// Lanes executing disjoint partition ranges in parallel as shards of
-  /// the shared thread pool, exchanging cross-partition activations
-  /// through per-lane outboxes at the iteration barrier. 1 = the exact
-  /// sequential reference path (byte-identical traces); 0 = auto
-  /// (hardware concurrency). Simulated
-  /// time under lanes is max-over-lanes of the same per-partition costs,
-  /// so paper-figure numbers stay comparable.
-  int num_workers = 1;
-
   /// Fig. 8 ablation switches.
   bool enable_task_combining = true;
   bool enable_contribution_scheduling = true;

@@ -39,7 +39,7 @@
 // in shard order at the iteration barrier, and over a task's partitions
 // before each of its extra rounds, so the round still consumes the mass
 // that landed in its loaded subgraph. Their values and traces are
-// therefore bitwise reproducible at a fixed pool size; they run one lane.
+// therefore bitwise reproducible at a fixed pool size.
 //
 // Program concept (per-edge hooks: see engine/kernels.h):
 //   struct Program {
@@ -59,15 +59,12 @@
 
 #include <algorithm>
 #include <bit>
-#include <chrono>
 #include <memory>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "core/cost_model.h"
-#include "core/lane_state.h"
 #include "core/options.h"
 #include "core/priority_scheduler.h"
 #include "core/task.h"
@@ -89,7 +86,6 @@
 #include "sim/zero_copy.h"
 #include "util/math_util.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace hytgraph {
 
@@ -205,16 +201,6 @@ class Solver {
     if (um_engine_ != nullptr) um_engine_->Invalidate();
     if constexpr (Program::kHasDelta) shares_ = ShareRows(view_.num_vertices());
 
-    // Parallel partition execution: resolve the lane count once per run and
-    // fix each lane's partition ownership for the query's lifetime.
-    // num_lanes == 1 takes the exact sequential reference path below — no
-    // lane state, no pool batch, byte-identical traces to the pre-lane
-    // solver.
-    const int num_lanes = ResolveLaneCount();
-    std::vector<std::unique_ptr<LaneState>> lane_states;
-    std::vector<VertexId> lane_starts;
-    if (num_lanes > 1) AssignLanes(num_lanes, &lane_states, &lane_starts);
-
     Frontier frontier_a(view_);
     Frontier frontier_b(view_);
     Frontier* current = &frontier_a;
@@ -240,7 +226,6 @@ class Solver {
     }
 
     RunTrace trace;
-    trace.num_lanes = num_lanes;
     for (uint64_t iter = 0; iter < options_.max_iterations; ++iter) {
       const uint64_t active = current->CountActive();  // O(1): incremental
       if (active == 0) {
@@ -290,13 +275,8 @@ class Solver {
             }
           }
           if (pulling) {
-            trace.iterations.push_back(
-                num_lanes > 1
-                    ? RunParallelPullIteration(&lane_states, *current, next,
-                                               frontier_edges, active, &trace,
-                                               program)
-                    : RunPullIteration(*current, next, frontier_edges, active,
-                                       &trace, program));
+            trace.iterations.push_back(RunPullIteration(
+                *current, next, frontier_edges, active, &trace, program));
             last_pull_edges = trace.iterations.back().transfers.kernel_edges;
             std::swap(current, next);
             next->Clear();
@@ -305,45 +285,38 @@ class Solver {
         }
       }
 
-      if (num_lanes > 1) {
-        trace.iterations.push_back(RunParallelPushIteration(
-            &lane_states, lane_starts, *current, next, &trace, program));
-      } else {
-        IterationState state =
-            BuildState(*current, program, std::move(actives_scratch_));
-        std::vector<Task> tasks =
-            GenerateTasks(state, EvaluateCosts(state), 0,
-                          static_cast<uint32_t>(partitions_.size()));
-        SplitOversizedCompactionTasks(&tasks, state);
+      IterationState state =
+          BuildState(*current, program, std::move(actives_scratch_));
+      std::vector<Task> tasks = GenerateTasks(state);
+      SplitOversizedCompactionTasks(&tasks, state);
 
-        PrioritySchedulerOptions pso;
-        pso.enabled = options_.enable_contribution_scheduling;
-        pso.delta_driven = Program::kHasDelta;
-        ScheduleTasks(&tasks, state, pso);
-        OverlapStreamIn(&tasks, state);
+      PrioritySchedulerOptions pso;
+      pso.enabled = options_.enable_contribution_scheduling;
+      pso.delta_driven = Program::kHasDelta;
+      ScheduleTasks(&tasks, state, pso);
+      OverlapStreamIn(&tasks, state);
 
-        StreamTimeline timeline(options_.num_streams);
-        IterationTrace it;
-        it.active_vertices = state.total_active_vertices();
-        it.active_edges = state.total_active_edges;
-        it.num_tasks = static_cast<uint32_t>(tasks.size());
-        const TransferStatsSnapshot before = stats_.Snapshot();
+      StreamTimeline timeline(options_.num_streams);
+      IterationTrace it;
+      it.active_vertices = state.total_active_vertices();
+      it.active_edges = state.total_active_edges;
+      it.num_tasks = static_cast<uint32_t>(tasks.size());
+      const TransferStatsSnapshot before = stats_.Snapshot();
 
-        for (const Task& task : tasks) {
-          ExecuteTask(task, state, next, &timeline, &it, program);
-        }
-
-        it.transfers = stats_.Snapshot() - before;
-        it.sim_seconds = timeline.Makespan();
-        it.transfer_seconds = timeline.PcieBusy();
-        it.kernel_seconds = timeline.GpuBusy();
-        it.compaction_seconds = timeline.CpuBusy();
-        trace.total_sim_seconds += it.sim_seconds;
-        trace.iterations.push_back(it);
-
-        // Recycle the active-list allocation into the next iteration.
-        actives_scratch_ = std::move(state.actives);
+      for (const Task& task : tasks) {
+        ExecuteTask(task, state, next, &timeline, &it, program);
       }
+
+      it.transfers = stats_.Snapshot() - before;
+      it.sim_seconds = timeline.Makespan();
+      it.transfer_seconds = timeline.PcieBusy();
+      it.kernel_seconds = timeline.GpuBusy();
+      it.compaction_seconds = timeline.CpuBusy();
+      trace.total_sim_seconds += it.sim_seconds;
+      trace.iterations.push_back(it);
+
+      // Recycle the active-list allocation into the next iteration.
+      actives_scratch_ = std::move(state.actives);
 
       if constexpr (Program::kHasDelta) {
         // Merge every shard's shares into the deltas; the vertices that
@@ -490,295 +463,43 @@ class Solver {
     return it;
   }
 
-  /// Resolves SolverOptions::num_workers to the lane count this run
-  /// executes with. 0 = hardware concurrency; always 1 when the solver is
-  /// already running on a pool worker (batched / fused serving queries:
-  /// the batch is the parallel unit — lanes under every query would
-  /// oversubscribe the machine), for the unified-memory baselines (their
-  /// page cache is stateful and access-order dependent) and for the
-  /// accumulation programs (their shares go to per-shard rows, which
-  /// concurrent lanes would share as shard 0).
-  int ResolveLaneCount() const {
-    if constexpr (Program::kHasDelta) return 1;
-    int lanes = options_.num_workers;
-    if (lanes == 0) {
-      lanes = static_cast<int>(std::thread::hardware_concurrency());
-      if (lanes <= 0) lanes = 1;
-    }
-    if (lanes <= 1) return 1;
-    if (ThreadPool::InWorkerThread()) return 1;
-    if (um_engine_ != nullptr) return 1;
-    return static_cast<int>(
-        std::min<uint64_t>(static_cast<uint64_t>(lanes), partitions_.size()));
-  }
-
-  /// Runs fn(lane) for every lane in [0, num_lanes) as shards of the shared
-  /// pool, and returns once all lanes finish (the iteration barrier). Lanes
-  /// beyond the pool's thread count run back to back inside one shard, so
-  /// partition ownership and the simulated max-over-lanes model do not
-  /// depend on the host. A lane runs on a pool shard (InWorkerThread()), so
-  /// the kernels inside it stay serial — lanes are the parallel unit, as
-  /// batched queries are in RunBatch. Each lane runs its phases in the same
-  /// order every run, so at a fixed lane count the execution is
-  /// deterministic up to the atomics the phase function itself uses.
-  template <typename Fn>
-  static void ForEachLane(size_t num_lanes, const Fn& fn) {
-    ThreadPool::Default()->ParallelFor(
-        num_lanes,
-        [&](int /*shard*/, uint64_t begin, uint64_t end) {
-          for (uint64_t l = begin; l < end; ++l) fn(static_cast<int>(l));
-        },
-        /*min_grain=*/1);
-  }
-
-  /// Fixes each lane's partition ownership for the query's lifetime:
-  /// contiguous partition ranges balanced by edge mass (greedy toward the
-  /// per-lane prefix target, at least one partition per lane). Contiguous
-  /// partitions induce contiguous vertex ranges, so vertex -> owning lane
-  /// is an upper_bound over the lane start vertices.
-  void AssignLanes(int num_lanes,
-                   std::vector<std::unique_ptr<LaneState>>* lane_states,
-                   std::vector<VertexId>* lane_starts) const {
-    lane_states->reserve(num_lanes);
-    lane_starts->reserve(num_lanes);
-    uint64_t total_edges = 0;
-    for (const Partition& part : partitions_) total_edges += part.num_edges();
-    const auto num_partitions = static_cast<uint32_t>(partitions_.size());
-    uint64_t cum = 0;
-    uint32_t p = 0;
-    for (int l = 0; l < num_lanes; ++l) {
-      auto lane = std::make_unique<LaneState>(view_, num_lanes);
-      lane->p_begin = p;
-      const uint64_t target =
-          total_edges * static_cast<uint64_t>(l + 1) / num_lanes;
-      // Leave at least one partition for each remaining lane.
-      const uint32_t max_end =
-          num_partitions - static_cast<uint32_t>(num_lanes - 1 - l);
-      while (p < max_end && (p == lane->p_begin || cum < target)) {
-        cum += partitions_[p].num_edges();
-        ++p;
-      }
-      lane->p_end = p;
-      lane->v_begin = partitions_[lane->p_begin].first_vertex;
-      lane->v_end = partitions_[lane->p_end - 1].last_vertex;
-      lane_starts->push_back(lane->v_begin);
-      lane_states->push_back(std::move(lane));
-    }
-  }
-
-  /// One push iteration under parallel lanes. The coordinator builds the
-  /// iteration state and evaluates the per-partition cost formulas once
-  /// (identical inputs to the sequential path); each lane then generates,
-  /// schedules, and executes its owned range's tasks against its
-  /// lane-local sink, and the barrier merge publishes the next frontier
-  /// owner-only. Simulated time is max-over-lanes of the per-lane stream
-  /// makespans — the same per-partition costs, modeled as concurrent
-  /// devices.
-  IterationTrace RunParallelPushIteration(
-      std::vector<std::unique_ptr<LaneState>>* lanes,
-      const std::vector<VertexId>& lane_starts, const Frontier& current,
-      Frontier* next, RunTrace* trace, Program* program) {
-    IterationState state =
-        BuildState(current, program, std::move(actives_scratch_));
-    const std::vector<PartitionCosts> costs = EvaluateCosts(state);
-
-    IterationTrace it;
-    it.active_vertices = state.total_active_vertices();
-    it.active_edges = state.total_active_edges;
-    const TransferStatsSnapshot before = stats_.Snapshot();
-
-    // Execute phase: per-lane task lists over owned partitions only.
-    // Task combining and priority scheduling are confined to the lane's
-    // range (filter runs reset at lane boundaries) — the per-partition
-    // engine choices themselves are identical to the sequential path.
-    ForEachLane(lanes->size(), [&](int l) {
-      LaneState& lane = *(*lanes)[l];
-      lane.BeginIteration();
-      const auto t0 = std::chrono::steady_clock::now();
-      std::vector<Task> tasks =
-          GenerateTasks(state, costs, lane.p_begin, lane.p_end);
-      SplitOversizedCompactionTasks(&tasks, state);
-      PrioritySchedulerOptions pso;
-      pso.enabled = options_.enable_contribution_scheduling;
-      pso.delta_driven = Program::kHasDelta;
-      ScheduleTasks(&tasks, state, pso);
-      OverlapStreamIn(&tasks, state);
-      StreamTimeline timeline(options_.num_streams);
-      lane.partial.num_tasks = static_cast<uint32_t>(tasks.size());
-      LaneSink sink(&lane, lane_starts);
-      for (const Task& task : tasks) {
-        ExecuteTask(task, state, &sink, &timeline, &lane.partial, program);
-      }
-      lane.sim_seconds = timeline.Makespan();
-      lane.transfer_busy = timeline.PcieBusy();
-      lane.kernel_busy = timeline.GpuBusy();
-      lane.cpu_busy = timeline.CpuBusy();
-      lane.wall_seconds = std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - t0)
-                              .count();
-    });
-
-    // Merge phase (the iteration barrier): every lane publishes exactly
-    // the vertices it owns into the global next frontier — its own range
-    // from its local bitmap plus every peer's outbox addressed to it.
-    // Owner-only publication keeps the shared bitmap's words near-disjoint
-    // (only range-boundary words are shared), and ShardActivations keeps
-    // the scout count exact for the next direction decision with one
-    // count update per lane. Activation is idempotent set semantics, so
-    // the merged bitmap and scout sum are independent of lane
-    // interleaving.
-    ForEachLane(lanes->size(), [&](int l) {
-      LaneState& lane = *(*lanes)[l];
-      ShardActivations<Frontier> activations(view_, next);
-      for (size_t m = 0; m < lanes->size(); ++m) {
-        if (static_cast<int>(m) == l) continue;
-        for (const VertexId v : (*lanes)[m]->outbox[l]) {
-          activations.Activate(v);
-        }
-      }
-      lane.merge_scratch.clear();
-      lane.local.CollectRange(lane.v_begin, lane.v_end, &lane.merge_scratch);
-      for (const VertexId v : lane.merge_scratch) activations.Activate(v);
-      activations.Publish();
-    });
-
-    double sim = 0;
-    double busy = 0;
-    double critical = 0;
-    for (const auto& lp : *lanes) {
-      const LaneState& lane = *lp;
-      it.num_tasks += lane.partial.num_tasks;
-      it.partitions_filter += lane.partial.partitions_filter;
-      it.partitions_compaction += lane.partial.partitions_compaction;
-      it.partitions_zero_copy += lane.partial.partitions_zero_copy;
-      it.partitions_um += lane.partial.partitions_um;
-      it.partitions_active += lane.partial.partitions_active;
-      it.measured_compaction_seconds +=
-          lane.partial.measured_compaction_seconds;
-      it.um_pages_touched += lane.partial.um_pages_touched;
-      sim = std::max(sim, lane.sim_seconds);
-      it.transfer_seconds += lane.transfer_busy;
-      it.kernel_seconds += lane.kernel_busy;
-      it.compaction_seconds += lane.cpu_busy;
-      busy += lane.wall_seconds;
-      critical = std::max(critical, lane.wall_seconds);
-    }
-    it.sim_seconds = sim;
-    it.transfers = stats_.Snapshot() - before;
-    trace->total_sim_seconds += it.sim_seconds;
-    trace->lane_busy_seconds += busy;
-    trace->lane_critical_seconds += critical;
-
-    actives_scratch_ = std::move(state.actives);
-    return it;
-  }
-
-  /// One pull iteration under parallel lanes: the coordinator computes the
-  /// deterministic iteration floor, then each lane scans its owned
-  /// candidate slice. Candidates are own-range by construction, so lanes
-  /// write the global next frontier owner-only through the sequential pull
-  /// kernel's range scan (one count update per lane) — no outboxes needed.
-  IterationTrace RunParallelPullIteration(
-      std::vector<std::unique_ptr<LaneState>>* lanes, const Frontier& current,
-      Frontier* next, uint64_t frontier_edges, uint64_t active_vertices,
-      RunTrace* trace, Program* program) {
-    IterationTrace it;
-    it.direction = TraversalDirection::kPull;
-    it.active_vertices = active_vertices;
-    it.active_edges = frontier_edges;
-    it.num_tasks = static_cast<uint32_t>(lanes->size());
-    const TransferStatsSnapshot before = stats_.Snapshot();
-
-    view_.EnsureReverse();
-    const auto floor = PullIterationFloor(current, *program);
-    ForEachLane(lanes->size(), [&](int l) {
-      LaneState& lane = *(*lanes)[l];
-      lane.BeginIteration();
-      const auto t0 = std::chrono::steady_clock::now();
-      lane.pull_edges = RunPullKernelRange(view_, current, *program, next,
-                                           floor, lane.v_begin, lane.v_end);
-      lane.wall_seconds = std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - t0)
-                              .count();
-    });
-
-    uint64_t edges = 0;
-    double sim = 0;
-    double busy = 0;
-    double critical = 0;
-    for (const auto& lp : *lanes) {
-      edges += lp->pull_edges;
-      // One gather stream per lane in simulated time: max-over-lanes of
-      // the per-lane kernel model, busy time summed.
-      const double lane_kernel = gpu_model_->SecondsForEdges(lp->pull_edges) +
-                                 options_.task_overhead_seconds;
-      sim = std::max(sim, lane_kernel);
-      it.kernel_seconds += lane_kernel;
-      busy += lp->wall_seconds;
-      critical = std::max(critical, lp->wall_seconds);
-    }
-    stats_.AddKernelEdges(edges);
-    it.sim_seconds = sim;
-    it.transfers = stats_.Snapshot() - before;
-    trace->total_sim_seconds += it.sim_seconds;
-    trace->lane_busy_seconds += busy;
-    trace->lane_critical_seconds += critical;
-    return it;
-  }
-
-  /// Per-partition cost formulas (1)-(3), evaluated once per push
-  /// iteration for HyTGraph; empty for the forced-engine baselines.
-  std::vector<PartitionCosts> EvaluateCosts(const IterationState& state) const {
-    if (options_.system != SystemKind::kHyTGraph) return {};
-    return cost_model_->EvaluateAll(partitions_, state);
-  }
-
-  /// Task generation over partitions [p_begin, p_end) — all partitions on
-  /// the sequential path, a lane's owned range under lanes. HyTGraph
-  /// combines the cost-selected engines of `costs` (EvaluateCosts); every
-  /// baseline forces one engine across the range's active partitions.
-  /// Combining/merging is confined to the range — "single task" baselines
-  /// build one task per lane.
-  std::vector<Task> GenerateTasks(const IterationState& state,
-                                  const std::vector<PartitionCosts>& costs,
-                                  uint32_t p_begin, uint32_t p_end) const {
+  /// Task generation: HyTGraph evaluates the per-partition cost formulas
+  /// (1)-(3) and combines the selected engines; every baseline forces one
+  /// engine across the active partitions.
+  std::vector<Task> GenerateTasks(const IterationState& state) const {
     TaskCombinerOptions tco;
     tco.combine_k = options_.combine_k;
     tco.enabled = options_.enable_task_combining;
 
     switch (options_.system) {
       case SystemKind::kHyTGraph:
-        return CombineTasks(partitions_, state, costs, tco, p_begin, p_end);
+        return CombineTasks(partitions_, state,
+                            cost_model_->EvaluateAll(partitions_, state), tco);
       case SystemKind::kExpFilter:
-        return ForcedTasks(state, EngineKind::kFilter,
-                           /*single_task=*/false, p_begin, p_end);
+        return ForcedTasks(state, EngineKind::kFilter, /*single_task=*/false);
       case SystemKind::kSubway:
         return ForcedTasks(state, EngineKind::kCompaction,
-                           /*single_task=*/true, p_begin, p_end);
+                           /*single_task=*/true);
       case SystemKind::kEmogi:
-        return ForcedTasks(state, EngineKind::kZeroCopy,
-                           /*single_task=*/true, p_begin, p_end);
+        return ForcedTasks(state, EngineKind::kZeroCopy, /*single_task=*/true);
       case SystemKind::kImpUm:
       case SystemKind::kGrus:
         return ForcedTasks(state, EngineKind::kUnifiedMemory,
-                           /*single_task=*/true, p_begin, p_end);
+                           /*single_task=*/true);
       case SystemKind::kCpu:
-        return ForcedTasks(state, EngineKind::kCpu, /*single_task=*/true,
-                           p_begin, p_end);
+        return ForcedTasks(state, EngineKind::kCpu, /*single_task=*/true);
     }
     return {};
   }
 
-  /// Active partitions of [p_begin, p_end) under one forced engine.
-  /// `single_task` merges everything into one task; otherwise consecutive
-  /// partitions group by combine_k (the streaming behaviour of filter-based
-  /// frameworks).
+  /// Active partitions under one forced engine. `single_task` merges
+  /// everything into one task; otherwise consecutive partitions group by
+  /// combine_k (the streaming behaviour of filter-based frameworks).
   std::vector<Task> ForcedTasks(const IterationState& state, EngineKind kind,
-                                bool single_task, uint32_t p_begin,
-                                uint32_t p_end) const {
+                                bool single_task) const {
     std::vector<Task> tasks;
     Task* open = nullptr;
-    for (uint32_t p = p_begin; p < p_end; ++p) {
+    for (uint32_t p = 0; p < partitions_.size(); ++p) {
       if (!state.stats[p].HasWork()) continue;
       const bool need_new =
           open == nullptr ||
@@ -854,16 +575,12 @@ class Solver {
   /// Extra asynchronous rounds: consume re-activations that landed inside
   /// this task's loaded subgraph. `membership` restricts to vertices whose
   /// edges are actually on the GPU (compaction loads only the original
-  /// active set; filter loads whole partitions). `Sink` is the global
-  /// Frontier on the sequential path or the LaneSink under lanes — a
-  /// task's partitions are always lane-owned, so the collect/deactivate
-  /// cycle below stays entirely within the lane-local frontier there.
-  /// An accumulation program first folds the shares of the task's
-  /// partitions, which activates the vertices they lifted to epsilon.
-  template <typename Sink>
+  /// active set; filter loads whole partitions). An accumulation program
+  /// first folds the shares of the task's partitions, which activates the
+  /// vertices they lifted to epsilon.
   uint64_t RunExtraRounds(const Task& task,
                           const std::vector<VertexId>* membership,
-                          Sink* next, Program* program) {
+                          Frontier* next, Program* program) {
     const int max_rounds = options_.extra_rounds < 0
                                ? options_.max_local_rounds
                                : options_.extra_rounds;
@@ -888,9 +605,8 @@ class Solver {
     return edges;
   }
 
-  template <typename Sink>
   void ExecuteTask(const Task& task, const IterationState& state,
-                   Sink* next, StreamTimeline* timeline,
+                   Frontier* next, StreamTimeline* timeline,
                    IterationTrace* it, Program* program) {
     const std::vector<VertexId> actives = GatherActives(task, state);
     const auto count = static_cast<uint32_t>(task.partitions.size());

@@ -21,19 +21,11 @@ std::vector<Task> CombineTasks(const std::vector<Partition>& partitions,
                                const IterationState& state,
                                const std::vector<PartitionCosts>& costs,
                                const TaskCombinerOptions& options) {
-  return CombineTasks(partitions, state, costs, options, 0,
-                      static_cast<uint32_t>(partitions.size()));
-}
-
-std::vector<Task> CombineTasks(const std::vector<Partition>& partitions,
-                               const IterationState& state,
-                               const std::vector<PartitionCosts>& costs,
-                               const TaskCombinerOptions& options,
-                               uint32_t p_begin, uint32_t p_end) {
+  const auto num_partitions = static_cast<uint32_t>(partitions.size());
   std::vector<Task> tasks;
   if (!options.enabled) {
     // Ablation path: one task per active partition, no merging.
-    for (uint32_t p = p_begin; p < p_end; ++p) {
+    for (uint32_t p = 0; p < num_partitions; ++p) {
       if (!state.stats[p].HasWork()) continue;
       Task task;
       task.engine = costs[p].choice;
@@ -60,7 +52,7 @@ std::vector<Task> CombineTasks(const std::vector<Partition>& partitions,
     }
   };
 
-  for (uint32_t p = p_begin; p < p_end; ++p) {
+  for (uint32_t p = 0; p < num_partitions; ++p) {
     if (!state.stats[p].HasWork()) continue;
     switch (costs[p].choice) {
       case EngineKind::kFilter:

@@ -36,18 +36,6 @@ std::vector<Task> CombineTasks(const std::vector<Partition>& partitions,
                                const std::vector<PartitionCosts>& costs,
                                const TaskCombinerOptions& options);
 
-/// Range-limited variant over partitions [p_begin, p_end): the parallel
-/// execution path builds one task list per lane from its owned partition
-/// range. Combining is confined to the range (filter runs reset at lane
-/// boundaries; the compaction/zero-copy merge tasks are per-lane, not
-/// global) — at one lane covering all partitions this is byte-identical to
-/// the full CombineTasks.
-std::vector<Task> CombineTasks(const std::vector<Partition>& partitions,
-                               const IterationState& state,
-                               const std::vector<PartitionCosts>& costs,
-                               const TaskCombinerOptions& options,
-                               uint32_t p_begin, uint32_t p_end);
-
 }  // namespace hytgraph
 
 #endif  // HYTGRAPH_CORE_TASK_COMBINER_H_

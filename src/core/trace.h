@@ -75,21 +75,8 @@ struct RunTrace {
   /// full recompute; kNone on the incremental path and on plain runs.
   IncrementalFallback incremental_fallback = IncrementalFallback::kNone;
 
-  /// --- Parallel partition execution (SolverOptions::num_workers) ---
-  /// Lanes the run executed with (1 = sequential reference path).
-  int num_lanes = 1;
-  /// Sum over iterations of per-lane measured execute-phase wall time,
-  /// summed across lanes (total work) and max across lanes (critical
-  /// path). Utilization = busy / (critical * lanes); 1.0 = perfectly
-  /// balanced lanes.
-  double lane_busy_seconds = 0;
-  double lane_critical_seconds = 0;
-
-  /// Lane utilization in [0, 1]; 0 when the run did no lane work.
-  double LaneUtilization() const {
-    if (num_lanes <= 1 || lane_critical_seconds <= 0) return 0;
-    return lane_busy_seconds / (lane_critical_seconds * num_lanes);
-  }
+  /// Always 0; perfbench/hytbench.cc reads it as core.lane_utilization.
+  double LaneUtilization() const { return 0; }
 
   uint64_t TotalTransferredBytes() const;
   uint64_t TotalKernelEdges() const;

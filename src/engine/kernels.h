@@ -70,14 +70,9 @@ concept PullCapableProgram =
 /// one AddCounts, which keeps `next`'s scout count (activated out-edges,
 /// Beamer's m_f) exact — the auto direction decision reads it in O(1)
 /// instead of rescanning the bitmap.
-///
-/// `Sink` is anything with Frontier's MarkActive / AddCounts surface: the
-/// global Frontier on the sequential path, a lane-local sink
-/// (core/lane_state.h) under parallel partition execution.
-template <typename Sink>
 class ShardActivations {
  public:
-  ShardActivations(const GraphView& view, Sink* next)
+  ShardActivations(const GraphView& view, Frontier* next)
       : view_(view), next_(next) {}
 
   void Activate(VertexId v) {
@@ -92,7 +87,7 @@ class ShardActivations {
 
  private:
   const GraphView& view_;
-  Sink* next_;
+  Frontier* next_;
   int64_t active_ = 0;
   int64_t scout_ = 0;
 };
@@ -125,14 +120,14 @@ class ShareRows {
   /// whose delta reached epsilon activate in `next` through
   /// ShardActivations, so its scout count stays exact. No kernel may run
   /// during a fold.
-  template <typename Program, typename Sink>
+  template <typename Program>
   void Fold(const GraphView& view, VertexId begin, VertexId end,
-            Program& program, Sink* next) {
+            Program& program, Frontier* next) {
     if (begin >= end) return;
     ThreadPool::Default()->ParallelFor(
         end - begin,
         [&](int /*shard*/, uint64_t lo, uint64_t hi) {
-          ShardActivations<Sink> activations(view, next);
+          ShardActivations activations(view, next);
           for (uint64_t i = lo; i < hi; ++i) {
             const VertexId v = begin + static_cast<VertexId>(i);
             double sum = 0.0;
@@ -163,12 +158,12 @@ class ShareRows {
 /// adds each edge's share to the shard's row (activation waits for
 /// ShareRows::Fold) and, visiting u, consumes the share the shard itself
 /// pushed to u since the last fold.
-template <typename Program, typename Sink>
+template <typename Program>
 class PushShard {
  public:
   using Context = typename Program::VertexContext;
 
-  PushShard(const GraphView& view, Program& program, Sink* next,
+  PushShard(const GraphView& view, Program& program, Frontier* next,
             ShareRows* shares, int shard)
       : program_(program), activations_(view, next) {
     if constexpr (Program::kHasDelta) row_ = shares->Row(shard);
@@ -194,7 +189,7 @@ class PushShard {
 
  private:
   Program& program_;
-  ShardActivations<Sink> activations_;
+  ShardActivations activations_;
   double* row_ = nullptr;
 };
 
@@ -203,16 +198,17 @@ class PushShard {
 /// accumulation program, pushing their shares into `shares` (see
 /// PushShard). Returns the number of edges processed (the kernel-time
 /// unit).
-template <typename Program, typename Sink = Frontier>
+template <typename Program>
 uint64_t RunKernel(const GraphView& view, std::span<const VertexId> actives,
-                   Program& program, Sink* next, ShareRows* shares = nullptr) {
+                   Program& program, Frontier* next,
+                   ShareRows* shares = nullptr) {
   if (actives.empty()) return 0;
   std::atomic<uint64_t> edges_processed{0};
   ThreadPool::Default()->ParallelFor(
       actives.size(),
       [&](int shard, uint64_t begin, uint64_t end) {
         uint64_t local_edges = 0;
-        PushShard<Program, Sink> push(view, program, next, shares, shard);
+        PushShard<Program> push(view, program, next, shares, shard);
         // One lease per shard: active lists are sorted ascending, so an
         // out-of-core base pays one cache acquire per block, not per vertex.
         BlockRef lease;
@@ -254,10 +250,9 @@ uint64_t RunKernel(const GraphView& view, std::span<const VertexId> actives,
 /// all), clears them from `next`, and publishes the removal with one
 /// AddCounts. The caller then re-runs the kernel over `pending`. No kernel
 /// may write `next` during the drain.
-template <typename Sink>
-void DrainPending(const GraphView& view,
-                  const std::vector<VertexId>* membership,
-                  std::vector<VertexId>* pending, Sink* next) {
+inline void DrainPending(const GraphView& view,
+                         const std::vector<VertexId>* membership,
+                         std::vector<VertexId>* pending, Frontier* next) {
   if (membership != nullptr) {
     // Both lists ascend, so one forward walk filters.
     auto member = membership->begin();
@@ -345,11 +340,9 @@ typename Program::PullBound PullIterationFloor(const Frontier& current,
 }
 
 /// Serial pull gather over the candidate range [v_begin, v_end) against a
-/// precomputed iteration floor. The parallel-lane pull path hands each lane
-/// a disjoint candidate slice of this scan; RunPullKernel composes it with
-/// pool sharding for the sequential path. Activations into `next` go
-/// through ShardActivations, so the slice publishes its totals once and
-/// the scout count stays exact across pull iterations too.
+/// precomputed iteration floor: one RunPullKernel shard. Activations into
+/// `next` go through ShardActivations, so the shard publishes its totals
+/// once and the scout count stays exact across pull iterations too.
 template <typename Program>
   requires PullCapableProgram<Program>
 uint64_t RunPullKernelRange(const GraphView& view, const Frontier& current,
@@ -360,7 +353,7 @@ uint64_t RunPullKernelRange(const GraphView& view, const Frontier& current,
   // One lease for the whole slice: the dense ascending scan re-pins the
   // transpose block only on boundary crossings when it streams.
   BlockRef lease;
-  ShardActivations<Frontier> activations(view, next);
+  ShardActivations activations(view, next);
   for (VertexId v = v_begin; v < v_end; ++v) {
     if (program.SettledAt(v, floor)) continue;
     bool changed = false;
@@ -412,9 +405,9 @@ uint64_t RunPullKernel(const GraphView& view, const Frontier& current,
 /// `view` is the graph the sub-CSR was compacted from — activations read
 /// its degrees so the scout count stays exact (targets can lie outside the
 /// compacted vertex set, so the sub-CSR's own offsets can't supply them).
-template <typename Program, typename Sink = Frontier>
+template <typename Program>
 uint64_t RunKernelOnSubCsr(const GraphView& view, const SubCsr& sub,
-                           Program& program, Sink* next,
+                           Program& program, Frontier* next,
                            ShareRows* shares = nullptr) {
   if (sub.vertices.empty()) return 0;
   std::atomic<uint64_t> edges_processed{0};
@@ -422,7 +415,7 @@ uint64_t RunKernelOnSubCsr(const GraphView& view, const SubCsr& sub,
       sub.vertices.size(),
       [&](int shard, uint64_t begin, uint64_t end) {
         uint64_t local_edges = 0;
-        PushShard<Program, Sink> push(view, program, next, shares, shard);
+        PushShard<Program> push(view, program, next, shares, shard);
         for (uint64_t i = begin; i < end; ++i) {
           const VertexId u = sub.vertices[i];
           typename Program::VertexContext ctx;

@@ -2,11 +2,30 @@
 
 #include <algorithm>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include "util/math_util.h"
 
 namespace hytgraph {
 
 namespace {
+/// CPUs the calling thread may run on: its affinity mask on Linux (so a
+/// run under taskset or a cpuset sizes to what it was given), else
+/// hardware_concurrency(). 0 when neither is known.
+int AvailableCpus() {
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    const int count = CPU_COUNT(&set);
+    if (count > 0) return count;
+  }
+#endif
+  return static_cast<int>(std::thread::hardware_concurrency());
+}
+
 /// Set for the lifetime of every pool worker thread, and on a caller while
 /// it runs its inline shard; nested ParallelFor calls detect it and degrade
 /// to a serial loop (a shard blocking on a nested submission would deadlock
@@ -16,7 +35,7 @@ thread_local bool tls_in_pool_worker = false;
 
 ThreadPool::ThreadPool(int num_threads) {
   if (num_threads <= 0) {
-    num_threads = static_cast<int>(std::thread::hardware_concurrency());
+    num_threads = AvailableCpus();
     if (num_threads <= 0) num_threads = 4;
   }
   num_threads_ = num_threads;

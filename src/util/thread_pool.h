@@ -1,6 +1,6 @@
 // A fixed-size thread pool with a blocked-range ParallelFor. The pool backs
-// the host-side "GPU kernel" execution, the CPU compaction engine, the
-// solver's partition lanes, and the Engine's batched query fan-out.
+// the host-side "GPU kernel" execution, the CPU compaction engine, and the
+// Engine's batched query fan-out.
 //
 // Execution: a pool of N threads is the calling thread plus N - 1 workers.
 // ParallelFor runs shard 0 inline on the caller and hands shards 1.. to
@@ -14,10 +14,10 @@
 // shard order to obtain deterministic reductions.
 //
 // Reentrancy: ParallelFor may be called from inside a shard (e.g. a batched
-// query or a solver lane executing its kernels); the nested call degrades to
-// a serial loop on the calling thread instead of deadlocking on a nested
-// submission. The caller counts as a pool worker while it runs shard 0.
-// Concurrent top-level callers serialize their batches.
+// query executing its kernels); the nested call degrades to a serial loop
+// on the calling thread instead of deadlocking on a nested submission. The
+// caller counts as a pool worker while it runs shard 0. Concurrent
+// top-level callers serialize their batches.
 
 #ifndef HYTGRAPH_UTIL_THREAD_POOL_H_
 #define HYTGRAPH_UTIL_THREAD_POOL_H_
@@ -36,7 +36,9 @@ namespace hytgraph {
 class ThreadPool {
  public:
   /// Creates a pool that runs batches on `num_threads` threads: the caller
-  /// plus `num_threads - 1` workers. 0 means hardware_concurrency().
+  /// plus `num_threads - 1` workers. 0 means one thread per CPU the calling
+  /// thread may run on (its affinity mask on Linux, else
+  /// hardware_concurrency()).
   explicit ThreadPool(int num_threads = 0);
   ~ThreadPool();
 
@@ -58,7 +60,8 @@ class ThreadPool {
                                             uint64_t end)>& fn,
                    uint64_t min_grain = 1024);
 
-  /// Process-wide default pool (created on first use with all cores).
+  /// Process-wide default pool (created on first use with one thread per
+  /// available CPU).
   static ThreadPool* Default();
 
   /// True when the calling thread is a pool worker (of any pool) or a

@@ -159,12 +159,7 @@ void VerifyObservations(const std::vector<Observation>& observations,
   }
 }
 
-/// The pinned-epoch stress body, parameterized by the solver's worker-lane
-/// count: num_workers=1 is the historical sequential-solver stress;
-/// num_workers=4 adds per-partition lanes INSIDE each racing query, so
-/// lane shards on the shared pool, mutators, and the background compactor
-/// all contend on the same engine at once.
-void RunPinnedEpochStress(int num_workers) {
+TEST(DynamicConcurrencyStressTest, EveryQueryMatchesItsPinnedEpoch) {
   const CsrGraph base = SmallRmat(8, 8, /*seed=*/21);
   const VertexId n = base.num_vertices();
 
@@ -173,8 +168,7 @@ void RunPinnedEpochStress(int num_workers) {
   policy.min_delta_edges = 128;  // folds stay almost always in flight
   policy.delta_fraction = 0.0;
   SolverOptions options = SolverOptions::Defaults(SystemKind::kCpu);
-  options.num_workers = num_workers;
-  // Small partitions so the tiny stress graph still splits across lanes.
+  // Small partitions so the tiny stress graph still spans several tasks.
   options.partition_bytes = 2 << 10;
   Engine engine(SmallRmat(8, 8, 21), options, policy);
 
@@ -242,14 +236,6 @@ void RunPinnedEpochStress(int num_workers) {
             static_cast<size_t>(kReaderThreads * kQueriesPerReader));
   VerifyObservations(observations, [] { return SmallRmat(8, 8, 21); },
                      batch_log);
-}
-
-TEST(DynamicConcurrencyStressTest, EveryQueryMatchesItsPinnedEpoch) {
-  RunPinnedEpochStress(/*num_workers=*/1);
-}
-
-TEST(DynamicConcurrencyStressTest, ParallelLaneQueriesMatchPinnedEpochs) {
-  RunPinnedEpochStress(/*num_workers=*/4);
 }
 
 // The serving layer under the same fire: concurrent clients submit mixed

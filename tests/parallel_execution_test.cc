@@ -1,28 +1,29 @@
-// Parallel partition execution: per-partition solver lanes must be a pure
-// performance feature. For every algorithm and execution context — static
-// graph, mutated delta overlay, pull-direction traversal, tight-budget
-// out-of-core streaming — the values at 2/4/8 worker lanes must equal the
-// num_workers=1 sequential reference path: bitwise for the value-selection
-// family (their fixed points are unique and u32), within accumulation
-// tolerance for the f64 delta-accumulation family (PR/PHP).
+// Kernel sharding must be a pure performance feature. A lone Engine::Run
+// shards each push, pull and fold kernel over ThreadPool::Default(); a
+// RunBatch runs each query on one pool shard, whose kernels run serially —
+// exactly what a one-thread pool runs. For every algorithm and execution
+// context (static graph, mutated delta overlay, pull-direction traversal,
+// tight-budget out-of-core streaming) a lone Run's values must equal that
+// serial-kernel reference: bitwise for the value-selection family (their
+// fixed points are unique and u32), within accumulation tolerance for the
+// f64 delta-accumulation family (PR/PHP).
 //
-// PR/PHP run one lane and fold their shard-private share rows in shard
-// order, so at a fixed pool size they are reproducible outright: values
-// and the whole trace are bitwise equal run to run, at any num_workers,
-// and for a lone Run and a one-query RunBatch (DeltaDeterminismTest).
+// PR/PHP fold their shard-private share rows in shard order, so at a fixed
+// pool size they are reproducible outright: values and the whole trace are
+// bitwise equal run to run, and for a lone Run and a one-query RunBatch
+// (DeltaDeterminismTest).
 //
-// The merged-frontier determinism check runs on BFS with the in-iteration
-// extra rounds off, because those rounds are the one intentionally
-// asynchronous piece: when two lanes race the first-touch CAS on a shared
-// neighbor, the winner decides whether the owner lane's extra rounds
-// consume the vertex this iteration or the barrier defers it to the next —
-// same values either way (the identity checks prove it), different
-// per-iteration counts. With extra rounds disabled every activation
-// crosses the barrier, and the owner-only merge must reproduce the exact
-// per-iteration active-vertex sequence run after run: BFS candidates in
-// iteration i are all level i+1, never an improvement on a settled vertex,
-// so the activation SET of each iteration is unique — any run-to-run
-// wobble would be a bug in the lane-local frontier/outbox merge itself.
+// The frontier determinism check runs on BFS with the in-iteration extra
+// rounds off, because those rounds are the one intentionally asynchronous
+// piece: whether a task's extra round sees a re-activation depends on
+// which kernel shard set its bit first — same values either way (the
+// identity checks prove it), different per-iteration counts. With extra
+// rounds disabled every activation crosses the barrier, and the shards'
+// merged activations must reproduce the exact per-iteration active-vertex
+// sequence run after run: BFS candidates in iteration i are all level i+1,
+// never an improvement on a settled vertex, so the activation SET of each
+// iteration is unique — any run-to-run wobble would be a bug in the shard
+// activation merge itself.
 
 #include <gtest/gtest.h>
 
@@ -66,7 +67,7 @@ CsrGraph TestGraph() { return SmallRmat(12, 8, /*seed=*/7); }
 
 /// Deterministic mutation workload for the overlay context: four batches
 /// of pseudo-random inserts plus a few deletes of base edges, applied
-/// identically at every worker count.
+/// identically to every engine.
 void ApplyDeterministicMutations(Engine* engine) {
   const CsrGraph base = TestGraph();
   const VertexId n = base.num_vertices();
@@ -92,15 +93,13 @@ void ApplyDeterministicMutations(Engine* engine) {
   }
 }
 
-std::unique_ptr<Engine> MakeEngine(Context context, int num_workers,
-                                   int extra_rounds = 1) {
+std::unique_ptr<Engine> MakeEngine(Context context, int extra_rounds = 1) {
   CsrGraph graph = TestGraph();
   SolverOptions options = SolverOptions::Defaults(SystemKind::kHyTGraph);
-  // Oversubscribed device so the hybrid filter/compaction/zero-copy mix —
-  // the path the lanes split — actually engages.
+  // Oversubscribed device so the hybrid filter/compaction/zero-copy mix
+  // actually engages.
   options.device_memory_override = graph.EdgeDataBytes() / 2;
-  options.num_workers = num_workers;
-  // Enough partitions that even 8 lanes get multi-partition ranges.
+  // Many small partitions, so an iteration runs many tasks.
   options.partition_bytes = 8 << 10;
   options.extra_rounds = extra_rounds;
   CompactionPolicy compaction;
@@ -156,37 +155,48 @@ void ExpectSameValues(const QueryResult& got, const QueryResult& want,
     }
   } else {
     EXPECT_EQ(got.u32(), want.u32())
-        << label << " diverged from the sequential reference";
+        << label << " diverged from the serial-kernel reference";
   }
+}
+
+/// Every algorithm with serial kernels: one RunBatch of all six queries,
+/// each of which runs on a pool shard.
+std::map<AlgorithmId, QueryResult> SerialKernelReference(Engine& engine) {
+  std::vector<Query> queries;
+  for (AlgorithmId algorithm : kAllAlgorithms) {
+    queries.push_back(QueryFor(algorithm));
+  }
+  auto batch = engine.RunBatch(queries);
+  HYT_CHECK(batch.ok()) << batch.status().ToString();
+  std::map<AlgorithmId, QueryResult> reference;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    reference.emplace(queries[i].algorithm, std::move((*batch)[i]));
+  }
+  return reference;
 }
 
 class ParallelExecutionTest : public ::testing::TestWithParam<Context> {};
 
-TEST_P(ParallelExecutionTest, ValuesMatchSequentialReferenceAtEveryWidth) {
+TEST_P(ParallelExecutionTest, LoneRunMatchesSerialKernelReference) {
   const Context context = GetParam();
-  auto reference_engine = MakeEngine(context, /*num_workers=*/1);
-  std::map<AlgorithmId, QueryResult> reference;
+  auto engine = MakeEngine(context);
+  const std::map<AlgorithmId, QueryResult> reference =
+      SerialKernelReference(*engine);
   for (AlgorithmId algorithm : kAllAlgorithms) {
-    reference.emplace(algorithm, RunOne(*reference_engine, algorithm));
-  }
-  for (int workers : {2, 4, 8}) {
-    auto engine = MakeEngine(context, workers);
-    for (AlgorithmId algorithm : kAllAlgorithms) {
-      ExpectSameValues(RunOne(*engine, algorithm), reference.at(algorithm),
-                       std::string(AlgorithmName(algorithm)) + " at " +
-                           std::to_string(workers) + " workers");
-    }
+    ExpectSameValues(RunOne(*engine, algorithm), reference.at(algorithm),
+                     std::string(AlgorithmName(algorithm)) + " on " +
+                         std::to_string(ThreadPool::Default()->num_threads()) +
+                         " pool threads");
   }
 }
 
 TEST_P(ParallelExecutionTest, MergedFrontierIsDeterministicAcrossRuns) {
   const Context context = GetParam();
-  auto first_engine =
-      MakeEngine(context, /*num_workers=*/4, /*extra_rounds=*/0);
+  auto first_engine = MakeEngine(context, /*extra_rounds=*/0);
   const QueryResult first = RunOne(*first_engine, AlgorithmId::kBfs);
   ASSERT_FALSE(first.trace.iterations.empty());
   for (int run = 0; run < 3; ++run) {
-    auto engine = MakeEngine(context, /*num_workers=*/4, /*extra_rounds=*/0);
+    auto engine = MakeEngine(context, /*extra_rounds=*/0);
     const QueryResult again = RunOne(*engine, AlgorithmId::kBfs);
     EXPECT_EQ(again.u32(), first.u32()) << "BFS values varied on run " << run;
     ASSERT_EQ(again.trace.iterations.size(), first.trace.iterations.size())
@@ -200,96 +210,28 @@ TEST_P(ParallelExecutionTest, MergedFrontierIsDeterministicAcrossRuns) {
   }
 }
 
-/// The lane count is a performance knob, not a semantic one: oversized
-/// requests clamp to the partition count and still answer correctly.
-TEST(ParallelExecutionClampTest, MoreLanesThanPartitionsStillCorrect) {
-  CsrGraph graph = testing::ChainGraph(64);
-  SolverOptions sequential = SolverOptions::Defaults(SystemKind::kHyTGraph);
-  sequential.num_workers = 1;
-  Engine reference(testing::ChainGraph(64), sequential);
-  const QueryResult want = RunOne(reference, AlgorithmId::kSssp);
-
-  SolverOptions wide = sequential;
-  wide.num_workers = 64;  // far beyond the partition count of a 64-chain
-  Engine engine(std::move(graph), wide);
-  const QueryResult got = RunOne(engine, AlgorithmId::kSssp);
-  EXPECT_EQ(got.u32(), want.u32());
-}
-
-/// num_workers = 0 resolves to hardware concurrency; values still match.
-TEST(ParallelExecutionClampTest, AutoWorkerCountMatchesSequential) {
-  SolverOptions sequential = SolverOptions::Defaults(SystemKind::kHyTGraph);
-  sequential.num_workers = 1;
-  Engine reference(TestGraph(), sequential);
-  const QueryResult want = RunOne(reference, AlgorithmId::kBfs);
-
-  SolverOptions automatic = sequential;
-  automatic.num_workers = 0;
-  Engine engine(TestGraph(), automatic);
-  const QueryResult got = RunOne(engine, AlgorithmId::kBfs);
-  EXPECT_EQ(got.u32(), want.u32());
-}
-
-/// Inside RunBatch every query runs on a pool shard, so the batch is the
-/// parallel unit and each query resolves to one lane; the same options on
-/// a direct Run get lanes. Values match the sequential reference either
-/// way.
-TEST(ParallelExecutionLaneCountTest, BatchedQueriesRunOneLane) {
-  if (ThreadPool::Default()->num_threads() < 2) {
-    GTEST_SKIP() << "a one-thread pool runs batches inline on the caller";
-  }
-  auto reference_engine = MakeEngine(Context::kStatic, /*num_workers=*/1);
-  auto engine = MakeEngine(Context::kStatic, /*num_workers=*/4);
-  std::vector<Query> queries;
-  for (AlgorithmId algorithm : kAllAlgorithms) {
-    queries.push_back(QueryFor(algorithm));
-  }
-  auto batch = engine->RunBatch(queries);
-  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-  ASSERT_EQ(batch->size(), queries.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    const std::string label = AlgorithmName(queries[i].algorithm);
-    EXPECT_EQ((*batch)[i].trace.num_lanes, 1) << label << " ran lanes";
-    ExpectSameValues((*batch)[i],
-                     RunOne(*reference_engine, queries[i].algorithm),
-                     label + " in a batch");
-  }
-  EXPECT_GT(RunOne(*engine, AlgorithmId::kBfs).trace.num_lanes, 1);
-}
-
-/// Multi-lane queries from concurrent callers share the one pool: their
-/// lane phases queue on it without deadlock, and a query wider than the
-/// pool runs several lanes back to back per shard. Every value matches the
-/// sequential reference.
-TEST(ParallelExecutionLaneCountTest, ConcurrentMultiLaneQueriesShareThePool) {
-  auto engine = MakeEngine(Context::kStatic, /*num_workers=*/1);
+/// Lone Runs from concurrent callers share the one pool: their kernel
+/// batches queue on it without deadlock, and every value matches the
+/// serial-kernel reference.
+TEST(ParallelExecutionPoolTest, ConcurrentRunsShareThePool) {
+  auto engine = MakeEngine(Context::kStatic);
+  const std::map<AlgorithmId, QueryResult> reference =
+      SerialKernelReference(*engine);
   const std::vector<AlgorithmId> algorithms = {
       AlgorithmId::kBfs, AlgorithmId::kSssp, AlgorithmId::kCc,
       AlgorithmId::kSswp};
-  std::map<AlgorithmId, QueryResult> reference;
-  for (AlgorithmId algorithm : algorithms) {
-    reference.emplace(algorithm, RunOne(*engine, algorithm));
-  }
-  const int pool_threads = ThreadPool::Default()->num_threads();
-  const int widths[] = {2, 4, 2 * pool_threads};
   std::vector<std::string> failures[3];
   std::vector<std::thread> callers;
   for (int t = 0; t < 3; ++t) {
     callers.emplace_back([&, t] {
-      SolverOptions options = engine->default_options();
-      options.num_workers = widths[t];
       for (int round = 0; round < 2; ++round) {
         for (AlgorithmId algorithm : algorithms) {
-          auto got = engine->Run(QueryFor(algorithm), options);
+          auto got = engine->Run(QueryFor(algorithm));
           if (!got.ok()) {
             failures[t].push_back(got.status().ToString());
-          } else if (got->trace.num_lanes < 2) {
-            failures[t].push_back(std::string(AlgorithmName(algorithm)) +
-                                  " ran one lane");
           } else if (got->u32() != reference.at(algorithm).u32()) {
             failures[t].push_back(std::string(AlgorithmName(algorithm)) +
-                                  " diverged at " +
-                                  std::to_string(widths[t]) + " lanes");
+                                  " diverged");
           }
         }
       }
@@ -326,7 +268,7 @@ void ExpectSameRun(const QueryResult& got, const QueryResult& want,
 }
 
 TEST(DeltaDeterminismTest, RunsAreBitwiseReproducible) {
-  auto engine = MakeEngine(Context::kStatic, /*num_workers=*/1);
+  auto engine = MakeEngine(Context::kStatic);
   for (AlgorithmId algorithm : kDeltaAlgorithms) {
     const QueryResult first = RunOne(*engine, algorithm);
     ASSERT_GT(first.trace.iterations.size(), 1u);
@@ -339,7 +281,7 @@ TEST(DeltaDeterminismTest, RunsAreBitwiseReproducible) {
 }
 
 TEST(DeltaDeterminismTest, ValuesMatchTheSynchronousReference) {
-  auto engine = MakeEngine(Context::kStatic, /*num_workers=*/1);
+  auto engine = MakeEngine(Context::kStatic);
   for (AlgorithmId algorithm : kDeltaAlgorithms) {
     const QueryResult got = RunOne(*engine, algorithm);
     const std::vector<double> want =
@@ -354,24 +296,10 @@ TEST(DeltaDeterminismTest, ValuesMatchTheSynchronousReference) {
   }
 }
 
-/// Lanes would share the shard-0 share row, so the accumulation programs
-/// resolve to one lane whatever num_workers asks for, and run exactly the
-/// sequential path.
-TEST(DeltaDeterminismTest, WorkersRequestRunsOneLane) {
-  auto sequential = MakeEngine(Context::kStatic, /*num_workers=*/1);
-  auto wide = MakeEngine(Context::kStatic, /*num_workers=*/4);
-  for (AlgorithmId algorithm : kDeltaAlgorithms) {
-    const QueryResult got = RunOne(*wide, algorithm);
-    EXPECT_EQ(got.trace.num_lanes, 1) << AlgorithmName(algorithm);
-    ExpectSameRun(got, RunOne(*sequential, algorithm),
-                  std::string(AlgorithmName(algorithm)) + " at 4 workers");
-  }
-}
-
 /// A one-query batch runs on the caller like a lone Run, so it is the
 /// same run bit for bit.
 TEST(DeltaDeterminismTest, OneQueryBatchEqualsRun) {
-  auto engine = MakeEngine(Context::kStatic, /*num_workers=*/1);
+  auto engine = MakeEngine(Context::kStatic);
   for (AlgorithmId algorithm : kDeltaAlgorithms) {
     auto batch = engine->RunBatch({QueryFor(algorithm)});
     ASSERT_TRUE(batch.ok()) << batch.status().ToString();

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
@@ -106,6 +110,32 @@ TEST(ThreadPoolTest, DefaultPoolIsSingleton) {
   EXPECT_EQ(ThreadPool::Default(), ThreadPool::Default());
   EXPECT_GT(ThreadPool::Default()->num_threads(), 0);
 }
+
+#if defined(__linux__)
+TEST(ThreadPoolTest, AutoSizeFollowsTheCallersCpuAffinity) {
+  // A fresh thread pins itself to one CPU it already has (the process and
+  // this test's own thread are untouched); an auto-sized pool built there
+  // must then start no workers.
+  bool pinned = false;
+  int auto_threads = 0;
+  std::thread probe([&] {
+    cpu_set_t set;
+    CPU_ZERO(&set);
+    if (sched_getaffinity(0, sizeof(set), &set) != 0) return;
+    int cpu = 0;
+    while (cpu < CPU_SETSIZE && !CPU_ISSET(cpu, &set)) ++cpu;
+    if (cpu == CPU_SETSIZE) return;
+    CPU_ZERO(&set);
+    CPU_SET(cpu, &set);
+    if (sched_setaffinity(0, sizeof(set), &set) != 0) return;
+    pinned = true;
+    auto_threads = ThreadPool(0).num_threads();
+  });
+  probe.join();
+  ASSERT_TRUE(pinned) << "could not restrict the probe thread's affinity";
+  EXPECT_EQ(auto_threads, 1);
+}
+#endif
 
 TEST(ThreadPoolTest, NestedParallelForDegradesToSerialInsteadOfDeadlocking) {
   // The Engine's batched queries run ParallelFor from inside pool workers
