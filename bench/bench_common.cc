@@ -7,6 +7,7 @@
 
 #include "graph/degree_stats.h"
 #include "util/logging.h"
+#include "util/thread_pool.h"
 
 namespace hytgraph::bench {
 
@@ -72,8 +73,11 @@ void PrintHeader(const std::string& experiment,
                  const std::string& paper_ref) {
   std::printf("\n=== %s ===\n", experiment.c_str());
   std::printf("Reproduces: %s (HyTGraph, ICDE 2023)\n", paper_ref.c_str());
-  std::printf("Bench scale delta: -%u (set HYT_BENCH_SCALE_DELTA to change)\n\n",
+  std::printf("Bench scale delta: -%u (set HYT_BENCH_SCALE_DELTA to change)\n",
               ScaleDelta());
+  // Kernel shards, and so PR/PHP sums and the simulated time they drive,
+  // follow the pool size.
+  std::printf("Pool threads: %d\n\n", ThreadPool::Default()->num_threads());
 }
 
 }  // namespace hytgraph::bench

@@ -8,8 +8,8 @@
 // the bench runs the initial query, applies the batch, then measures
 //   * RunIncremental — warm-start from the previous result, re-activating
 //     only the delta-touched cone (iterates the DeltaOverlay, no CSR
-//     rebuild); for PageRank, residual re-injection propagated in
-//     bulk-synchronous rounds on the thread pool, and
+//     rebuild); for PageRank, residual re-injection propagated by the
+//     cold run's push kernel from a warm-started program, and
 //   * Run — the steady-state full recompute on the mutated snapshot,
 // and reports the wall-clock speedup. Values are verified identical for
 // the monotone family and within kF64Tolerance for PageRank, whose both

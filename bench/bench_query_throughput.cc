@@ -199,7 +199,9 @@ Arm RunLiveStreamArm(const CsrGraph& base, const SolverOptions& options,
                      const char* name, std::chrono::microseconds window) {
   Arm arm;
   arm.name = name;
-  arm.fused = true;
+  // Without a window, requests that arrive one gap apart may never share a
+  // batch, so the baseline need not fuse; window_ok compares the two arms.
+  arm.fused = window.count() > 0;
   Engine engine(base, options);
 
   Query query;

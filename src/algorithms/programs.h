@@ -13,7 +13,9 @@
 //    w) gives the message one edge carries, the kernels add it to the
 //    calling shard's private row, and the solver's fold (ShareRows in
 //    engine/kernels.h) sums the rows in shard order and hands each sum to
-//    Apply(v, sum), which reports whether v's delta reached epsilon.
+//    Apply(v, sum), which reports whether v's |delta| reached epsilon. A
+//    warm start (previous values plus a residual, which may be negative)
+//    lets incremental runs propagate with the same kernels.
 //
 // The value-selection family additionally implements the pull-direction
 // hooks (see RunPullKernel in engine/kernels.h): PullPotential(u) is the
@@ -31,8 +33,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <limits>
 #include <mutex>
+#include <utility>
 #include <vector>
 
 #include "algorithms/atomic_ops.h"
@@ -306,21 +310,39 @@ class PageRankProgram {
   static constexpr bool kHasDelta = true;
   static constexpr const char* kName = "PageRank";
 
+  /// Cold start: no consumed rank, the teleport mass 1 - damping pending
+  /// everywhere.
   explicit PageRankProgram(const GraphView& view,
                            const PageRankOptions& options = {})
+      : PageRankProgram(view, std::vector<double>(view.num_vertices(), 0.0),
+                        std::vector<double>(view.num_vertices(),
+                                            1.0 - options.damping),
+                        options) {}
+
+  /// Warm start: `consumed` (the previous ranks) is the mass already
+  /// consumed, `pending` the residual still to propagate, both of size
+  /// num_vertices. A pending delta may be negative: the residual a deletion
+  /// withdraws propagates like any other.
+  PageRankProgram(const GraphView& view, std::vector<double> consumed,
+                  std::vector<double> pending,
+                  const PageRankOptions& options = {})
       : graph_(view),
         options_(options),
-        ranks_(view.num_vertices(), 0.0),
-        deltas_(view.num_vertices(), 1.0 - options_.damping) {}
+        ranks_(std::move(consumed)),
+        deltas_(std::move(pending)) {
+    HYT_CHECK_EQ(ranks_.size(), graph_.num_vertices());
+    HYT_CHECK_EQ(deltas_.size(), graph_.num_vertices());
+  }
 
   /// Static-graph convenience: the graph must outlive the program.
   explicit PageRankProgram(const CsrGraph& graph,
                            const PageRankOptions& options = {})
       : PageRankProgram(GraphView::Wrap(graph), options) {}
 
+  /// Activates every vertex with a pending delta (see Pending).
   void InitFrontier(Frontier* frontier) {
     for (VertexId v = 0; v < graph_.num_vertices(); ++v) {
-      frontier->Activate(v);
+      if (Pending(v)) frontier->Activate(v);
     }
   }
 
@@ -349,13 +371,20 @@ class PageRankProgram {
   }
 
   /// Folds the shares v received into its pending delta; true once the
-  /// delta reaches epsilon (v activates).
+  /// delta's magnitude reaches epsilon (v activates).
   bool Apply(VertexId v, double sum) {
     deltas_[v] += sum;
-    return deltas_[v] >= options_.epsilon;
+    return Pending(v);
   }
 
   double DeltaOf(VertexId v) const { return deltas_[v]; }
+
+  /// True while v has mass to push: a nonzero delta of magnitude at least
+  /// epsilon. Cold deltas are never negative; a warm start's may be.
+  bool Pending(VertexId v) const {
+    const double delta = deltas_[v];
+    return delta != 0.0 && std::abs(delta) >= options_.epsilon;
+  }
 
   std::vector<double> Values() const {
     // Rank = consumed mass + still-pending mass (so totals are exact even
@@ -390,14 +419,26 @@ class PhpProgram {
   static constexpr bool kHasDelta = true;
   static constexpr const char* kName = "PHP";
 
+  /// Cold start: unit mass pending at the source.
   PhpProgram(const GraphView& view, VertexId source,
+             const PhpOptions& options = {})
+      : PhpProgram(view, source, std::vector<double>(view.num_vertices(), 0.0),
+                   std::vector<double>(view.num_vertices(), 0.0), options) {
+    deltas_[source_] = 1.0;
+  }
+
+  /// Warm start, as PageRankProgram's: `consumed` holds the previous
+  /// values, `pending` the residual (possibly negative) to propagate.
+  PhpProgram(const GraphView& view, VertexId source,
+             std::vector<double> consumed, std::vector<double> pending,
              const PhpOptions& options = {})
       : options_(options),
         source_(source),
-        values_(view.num_vertices(), 0.0),
-        deltas_(view.num_vertices(), 0.0),
+        values_(std::move(consumed)),
+        deltas_(std::move(pending)),
         weight_sums_(view.num_vertices(), 0.0) {
-    deltas_[source_] = 1.0;
+    HYT_CHECK_EQ(values_.size(), view.num_vertices());
+    HYT_CHECK_EQ(deltas_.size(), view.num_vertices());
     // Weight sums cover the mutated adjacency. An unweighted graph keeps
     // all-zero sums (no propagation), matching the historical weights(v)
     // behaviour.
@@ -414,7 +455,13 @@ class PhpProgram {
              const PhpOptions& options = {})
       : PhpProgram(GraphView::Wrap(graph), source, options) {}
 
-  void InitFrontier(Frontier* frontier) { frontier->Activate(source_); }
+  /// Activates every vertex with a pending delta (see Pending): the source
+  /// alone on a cold start.
+  void InitFrontier(Frontier* frontier) {
+    for (VertexId v = 0; v < static_cast<VertexId>(deltas_.size()); ++v) {
+      if (Pending(v)) frontier->Activate(v);
+    }
+  }
 
   struct VertexContext {
     double scaled_delta;  // damping * delta / weight_sum(u)
@@ -440,13 +487,19 @@ class PhpProgram {
   }
 
   /// Folds the shares v received into its pending delta; true once the
-  /// delta reaches epsilon (v activates).
+  /// delta's magnitude reaches epsilon (v activates).
   bool Apply(VertexId v, double sum) {
     deltas_[v] += sum;
-    return deltas_[v] >= options_.epsilon;
+    return Pending(v);
   }
 
   double DeltaOf(VertexId v) const { return deltas_[v]; }
+
+  /// As PageRankProgram::Pending.
+  bool Pending(VertexId v) const {
+    const double delta = deltas_[v];
+    return delta != 0.0 && std::abs(delta) >= options_.epsilon;
+  }
 
   std::vector<double> Values() const {
     std::vector<double> out(values_.size());

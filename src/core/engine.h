@@ -302,8 +302,8 @@ class Engine {
   ///    of vertices whose values may have derived through a deleted edge
   ///    and re-seed from its boundary (dynamic/incremental.h);
   ///  * PR/PHP — re-inject the mutated edges' residual contributions and
-  ///    propagate the delta (Maiter-style) in bulk-synchronous rounds on
-  ///    the thread pool, bitwise reproducible for a fixed pool size.
+  ///    propagate the delta (Maiter-style) with the push kernel from a
+  ///    warm-started program, bitwise reproducible for a fixed pool size.
   /// A full recompute remains the transparent fallback when the snapshot
   /// GC retired the mutation-log entries since previous.epoch;
   /// RunTrace::incremental_fallback carries the reason and

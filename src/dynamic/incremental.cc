@@ -1,13 +1,14 @@
 #include "dynamic/incremental.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <string>
 #include <unordered_map>
 #include <utility>
 
-#include "util/thread_pool.h"
+#include "algorithms/programs.h"
+#include "engine/frontier.h"
+#include "engine/kernels.h"
 
 namespace hytgraph {
 
@@ -236,117 +237,30 @@ IncrementalStats ConeRecompute(const GraphView& graph, bool has_source,
   return stats;
 }
 
-/// Residual propagation for the accumulation family, in bulk-synchronous
-/// rounds on ThreadPool::Default(). `delta` holds each vertex's pending
-/// residual; a vertex is active while |delta| >= epsilon. Each round:
-///   push   — one batch over the ascending active list. Each u consumes
-///            delta[u] into vals[u] and adds d * delta[u] * share(u -> t)
-///            to its shard's private row acc[shard][t], where share is
-///            1/out_degree (PR) or w/sum(w) with `source` skipped (PHP).
-///            u is unique in the list and a row has one writer, so plain
-///            stores suffice;
-///   reduce — one batch over [0, n): delta[v] += acc[s][v] in shard order,
-///            zeroing each slot; v joins its shard's next list when active.
-///            The lists concatenated in shard order are the next ascending
-///            frontier.
-/// Chunking is static and every sum has a fixed order, so the values are
-/// bitwise reproducible for a fixed pool size. A call from inside a pool
-/// shard runs every batch serially on shard 0. Leftover sub-epsilon
-/// residual folds into the values exactly like the kernels' Values().
-void DrainResidual(const GraphView& graph, bool is_php, VertexId source,
-                   double damping, double epsilon,
-                   std::vector<double>* pending, std::vector<double>* values,
-                   IncrementalStats* stats) {
-  ThreadPool* pool = ThreadPool::Default();
-  const VertexId n = graph.num_vertices();
-  std::vector<double>& delta = *pending;
-  std::vector<double>& vals = *values;
-  const int shards = ThreadPool::InWorkerThread() ? 1 : pool->num_threads();
-  std::vector<std::vector<double>> acc(shards, std::vector<double>(n, 0.0));
-  std::vector<std::vector<VertexId>> next(shards);
-  struct PushTally {
-    uint64_t vertices = 0;
-    uint64_t edges = 0;
-  };
-  std::vector<PushTally> tally(shards);
-  int rows = 0;  // accumulator rows the last push wrote; the rest are zero
-
-  std::vector<VertexId> frontier;
-  auto reduce = [&] {
-    pool->ParallelFor(n, [&](int shard, uint64_t begin, uint64_t end) {
-      // Appends go to a local vector: the shards' list headers share cache
-      // lines, and writing them per vertex would ping-pong those lines.
-      std::vector<VertexId> active = std::move(next[shard]);
-      for (uint64_t v = begin; v < end; ++v) {
-        double d = delta[v];
-        for (int s = 0; s < rows; ++s) {
-          d += acc[s][v];
-          acc[s][v] = 0;
-        }
-        delta[v] = d;
-        // A zero residual has nothing to push, whatever epsilon is.
-        if (d != 0 && std::abs(d) >= epsilon) {
-          active.push_back(static_cast<VertexId>(v));
-        }
-      }
-      next[shard] = std::move(active);
-    });
-    frontier.clear();
-    for (std::vector<VertexId>& active : next) {
-      frontier.insert(frontier.end(), active.begin(), active.end());
-      active.clear();
-    }
-  };
-
-  reduce();
-  stats->seed_vertices = frontier.size();
-  while (!frontier.empty()) {
+/// Propagates a warm-started accumulation program's residual with the push
+/// kernel until no vertex's |delta| reaches epsilon, and returns its
+/// values. Each round pushes the frontier's shares into the shard rows;
+/// the fold applies them in shard order and activates the next frontier.
+/// Counts rounds, frontier sizes and kernel edges into `stats`.
+template <typename Program>
+std::vector<double> PushResidual(const GraphView& graph, Program& program,
+                                 IncrementalStats* stats) {
+  ShareRows shares(graph.num_vertices());
+  Frontier frontier(graph);
+  program.InitFrontier(&frontier);
+  std::vector<VertexId> actives;
+  frontier.CollectInto(&actives);
+  stats->seed_vertices = actives.size();
+  while (!actives.empty()) {
     ++stats->rounds;
-    std::fill(tally.begin(), tally.end(), PushTally{});
-    pool->ParallelFor(
-        frontier.size(), [&](int shard, uint64_t begin, uint64_t end) {
-          std::vector<double>& row = acc[shard];
-          uint64_t edges = 0;
-          for (uint64_t i = begin; i < end; ++i) {
-            const VertexId u = frontier[i];
-            const double consumed = delta[u];
-            delta[u] = 0;
-            vals[u] += consumed;
-            const double mass = damping * consumed;
-            if (is_php) {
-              double weight_sum = 0;
-              graph.ForEachNeighbor(
-                  u, [&](VertexId /*t*/, Weight w) { weight_sum += w; });
-              if (weight_sum <= 0) continue;
-              graph.ForEachNeighbor(u, [&](VertexId t, Weight w) {
-                ++edges;
-                if (t != source) {
-                  row[t] += mass * static_cast<double>(w) / weight_sum;
-                }
-              });
-            } else {
-              const EdgeId degree = graph.out_degree(u);
-              if (degree == 0) continue;
-              const double msg = mass / static_cast<double>(degree);
-              graph.ForEachNeighbor(u, [&](VertexId t, Weight /*w*/) {
-                ++edges;
-                row[t] += msg;
-              });
-            }
-          }
-          tally[shard] = PushTally{end - begin, edges};
-        });
-    rows = 0;
-    for (int s = 0; s < shards; ++s) {
-      stats->relaxed_vertices += tally[s].vertices;
-      stats->traversed_edges += tally[s].edges;
-      if (tally[s].vertices > 0) rows = s + 1;
-    }
-    reduce();
+    stats->relaxed_vertices += actives.size();
+    frontier.Clear();
+    stats->traversed_edges +=
+        RunKernel(graph, actives, program, &frontier, &shares);
+    shares.Fold(graph, 0, graph.num_vertices(), program, &frontier);
+    frontier.CollectInto(&actives);
   }
-  pool->ParallelFor(n, [&](int /*shard*/, uint64_t begin, uint64_t end) {
-    for (uint64_t v = begin; v < end; ++v) vals[v] += delta[v];
-  });
+  return program.Values();
 }
 
 }  // namespace
@@ -498,8 +412,6 @@ Result<IncrementalStats> AccumulativeRecompute(
   }
   const double damping =
       is_php ? params.php.damping : params.pagerank.damping;
-  const double epsilon =
-      is_php ? params.php.epsilon : params.pagerank.epsilon;
   std::vector<double>& vals = *values;
 
   // Group the delta by mutated source vertex: the injection for u compares
@@ -564,8 +476,15 @@ Result<IncrementalStats> AccumulativeRecompute(
     }
   }
 
-  DrainResidual(graph, is_php, source, damping, epsilon, &pending, &vals,
-                &stats);
+  if (is_php) {
+    PhpProgram program(graph, source, std::move(vals), std::move(pending),
+                       params.php);
+    vals = PushResidual(graph, program, &stats);
+  } else {
+    PageRankProgram program(graph, std::move(vals), std::move(pending),
+                            params.pagerank);
+    vals = PushResidual(graph, program, &stats);
+  }
   return stats;
 }
 

@@ -39,14 +39,15 @@
 // contribution change (computed from the previous values) and propagating
 // the residual on the *current* graph converges to the new fixpoint up to
 // the epsilon residual — the same tolerance the push kernels terminate
-// with. The propagation runs in bulk-synchronous rounds on
-// ThreadPool::Default(): each shard pushes its slice of the ascending
-// active list into a shard-private accumulator row, and an owner
-// reduction over the vertices merges the rows in shard order and builds
-// the next active list. No atomics; the rows cost num_threads × n doubles
-// per call. Chunking is static and every sum has a fixed order, so the
-// values are bitwise reproducible for a fixed pool size. A call from
-// inside a pool shard runs serially.
+// with. The propagation is the cold runs' own: a PageRankProgram /
+// PhpProgram warm-started with the previous values as consumed mass and
+// the injected residual as pending deltas, pushed by RunKernel into the
+// kernels' ShareRows and folded in shard order, round after round until
+// no |delta| reaches epsilon (a deletion's withdrawn mass is negative and
+// propagates too). It charges no simulated time and takes no Solver
+// decisions. Every sum has a fixed order, so the values are bitwise
+// reproducible for a fixed pool size; a call from inside a pool shard
+// runs its kernels serially.
 //
 // The propagation iterates GraphView adjacency directly (merged base +
 // overlay), so an incremental run after a small delta touches only the
@@ -71,6 +72,11 @@ namespace hytgraph {
 /// insert-only deltas: BFS, SSSP, CC, SSWP.
 bool SupportsIncremental(AlgorithmId id);
 
+/// What one recompute did. For PR/PHP (AccumulativeRecompute) a round is
+/// one push kernel plus its fold: `seed_vertices` is the first frontier,
+/// `relaxed_vertices` the sum of the frontiers, `traversed_edges` the
+/// injection's edges plus the kernels', and `improved_vertices` counts the
+/// injected residual entries.
 struct IncrementalStats {
   uint64_t seed_vertices = 0;     // distinct seeds after dedup
   uint64_t relaxed_vertices = 0;  // vertex visits across all rounds
@@ -134,10 +140,12 @@ Result<IncrementalStats> DeletionAwareRecompute(
     std::vector<uint32_t>* values, std::vector<VertexId>* parents);
 
 /// Advances the previous PR/PHP fixpoint in `values` across an arbitrary
-/// insert/delete delta by residual re-injection (see the header comment).
-/// Exact up to the kernels' epsilon residual; `params` must match the
-/// options the previous result was computed with. `source` is the PHP
-/// source (ignored for PR).
+/// insert/delete delta: injects each mutated vertex's contribution change
+/// as residual, then propagates it with the push kernel from a program
+/// warm-started at the previous values (see the header comment). Exact up
+/// to the kernels' epsilon residual; `params` must match the options the
+/// previous result was computed with. `source` is the PHP source (ignored
+/// for PR). The stats count kernel rounds (see IncrementalStats).
 Result<IncrementalStats> AccumulativeRecompute(
     const GraphView& graph, AlgorithmId id, VertexId source,
     const AlgoParams& params, std::span<const EdgeRecord> inserted_edges,

@@ -136,6 +136,35 @@ TEST(PageRankProgramTest, ApplyActivatesAboveEpsilon) {
   EXPECT_FALSE(program.Apply(1, share));  // 0.008 < eps
   EXPECT_TRUE(program.Apply(1, share));   // 0.012 >= eps
   EXPECT_DOUBLE_EQ(program.DeltaOf(1), 0.012);
+
+  // A warm start's residual may be negative (mass a deletion withdrew):
+  // its magnitude activates too.
+  const GraphView view = GraphView::Wrap(g);
+  PageRankProgram warm(view, std::vector<double>(6, 1.0),
+                       std::vector<double>(6, 0.0), opts);
+  EXPECT_FALSE(warm.Apply(2, -0.5 * opts.epsilon));
+  EXPECT_TRUE(warm.Apply(3, -2 * opts.epsilon));
+  EXPECT_DOUBLE_EQ(warm.DeltaOf(3), -2 * opts.epsilon);
+}
+
+TEST(PageRankProgramTest, WarmStartActivatesPendingResidualOnly) {
+  const CsrGraph g = PaperFigure1Graph();
+  const GraphView view = GraphView::Wrap(g);
+  const std::vector<double> previous = {0.1, 1.0 / 3, 2.5, 0.7, 1e-9, 4.2};
+  PageRankOptions opts;
+  opts.epsilon = 0.01;
+
+  PageRankProgram settled(view, previous, std::vector<double>(6, 0.0), opts);
+  Frontier none(6);
+  settled.InitFrontier(&none);
+  EXPECT_TRUE(none.Empty());
+  EXPECT_EQ(settled.Values(), previous);  // bitwise
+
+  PageRankProgram warm(view, previous, {0.0, 0.02, -0.02, 0.005, -0.005, 0.0},
+                       opts);
+  Frontier pending(6);
+  warm.InitFrontier(&pending);
+  EXPECT_EQ(pending.Collect(), (std::vector<VertexId>{1, 2}));
 }
 
 TEST(PageRankProgramTest, ValuesIncludePendingDeltas) {
@@ -159,6 +188,40 @@ TEST(PhpProgramTest, MassEnteringSourceIsDiscarded) {
   EXPECT_EQ(program.Share(ctx, 0, 3), 0.0);         // edge into source
   EXPECT_DOUBLE_EQ(program.Share(ctx, 1, 3), 1.5);  // any other target
   EXPECT_DOUBLE_EQ(program.DeltaOf(0), 1.0);        // unchanged
+}
+
+TEST(PhpProgramTest, ApplyActivatesAboveEpsilon) {
+  const CsrGraph g = PaperFigure1Graph();
+  PhpOptions opts;
+  opts.epsilon = 0.01;
+  PhpProgram cold(g, 0, opts);
+  EXPECT_FALSE(cold.Apply(1, 0.004));  // 0.004 < eps
+  EXPECT_TRUE(cold.Apply(1, 0.008));   // 0.012 >= eps
+
+  const GraphView view = GraphView::Wrap(g);
+  PhpProgram warm(view, 0, std::vector<double>(6, 1.0),
+                  std::vector<double>(6, 0.0), opts);
+  EXPECT_FALSE(warm.Apply(2, -0.5 * opts.epsilon));
+  EXPECT_TRUE(warm.Apply(3, -2 * opts.epsilon));
+  EXPECT_DOUBLE_EQ(warm.DeltaOf(3), -2 * opts.epsilon);
+}
+
+TEST(PhpProgramTest, WarmStartActivatesPendingResidualOnly) {
+  const CsrGraph g = PaperFigure1Graph();
+  const GraphView view = GraphView::Wrap(g);
+  const std::vector<double> previous = {1.0, 0.3, 1.0 / 3, 0.05, 1e-9, 0.2};
+
+  PhpProgram settled(view, 0, previous, std::vector<double>(6, 0.0));
+  Frontier none(6);
+  settled.InitFrontier(&none);
+  EXPECT_TRUE(none.Empty());
+  EXPECT_EQ(settled.Values(), previous);  // bitwise
+
+  // Unlike a cold start, the source need not be active.
+  PhpProgram warm(view, 0, previous, {0.0, 0.0, 0.0, -1e-3, 0.0, 1e-7});
+  Frontier pending(6);
+  warm.InitFrontier(&pending);
+  EXPECT_EQ(pending.Collect(), (std::vector<VertexId>{3}));
 }
 
 TEST(PhpProgramTest, PropagationWeightNormalized) {

@@ -260,7 +260,7 @@ TEST(IncrementalEngineTest, AccumulationFamilyRunsResidualReinjection) {
 
 // ---------------------------------------------------------------------------
 // AccumulativeRecompute called directly, on RMAT scale 12: large enough that
-// the active lists and the dense reduce span several pool shards.
+// the active lists and the share-row fold span several pool shards.
 
 /// Same slack as streaming_incremental_test: both sides stop at an epsilon
 /// = 1e-6 residual.

@@ -32,7 +32,7 @@ SolverOptions CpuDefaults() {
 }
 
 /// Termination-threshold slack for the accumulation family: both the
-/// engine (warm-started, bulk-synchronous rounds on the pool) and the
+/// engine (warm-started push kernels on the pool) and the
 /// reference (synchronous, cold) stop at epsilon = 1e-6 residual, and the
 /// warm-start chain re-accumulates each epoch's truncation. ~n*eps/(1-d)
 /// per epoch, a few epochs deep.
