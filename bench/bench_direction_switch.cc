@@ -35,6 +35,7 @@
 #include "util/logging.h"
 #include "util/random.h"
 #include "util/string_util.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 using namespace hytgraph;
@@ -121,18 +122,20 @@ MutationBatch MixedBatch(const CsrGraph& base, uint64_t count, uint64_t seed) {
 void WriteJson(const std::vector<JsonRow>& rows) {
   FILE* out = std::fopen("BENCH_direction.json", "w");
   HYT_CHECK(out != nullptr) << "cannot write BENCH_direction.json";
+  const int pool_threads = ThreadPool::Default()->num_threads();
   std::fprintf(out, "[\n");
   for (size_t i = 0; i < rows.size(); ++i) {
     const JsonRow& row = rows[i];
     std::fprintf(out,
                  "  {\"scale\": %u, \"algorithm\": \"%s\", \"direction\": "
                  "\"%s\", \"kernel_edges\": %llu, \"iterations\": %llu, "
-                 "\"pull_iterations\": %llu, \"wall_ms\": %.3f}%s\n",
+                 "\"pull_iterations\": %llu, \"wall_ms\": %.3f, "
+                 "\"pool_threads\": %d}%s\n",
                  row.scale, row.algorithm.c_str(), row.direction.c_str(),
                  static_cast<unsigned long long>(row.kernel_edges),
                  static_cast<unsigned long long>(row.iterations),
                  static_cast<unsigned long long>(row.pull_iterations),
-                 row.wall_ms, i + 1 < rows.size() ? "," : "");
+                 row.wall_ms, pool_threads, i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(out, "]\n");
   std::fclose(out);

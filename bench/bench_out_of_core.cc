@@ -43,6 +43,7 @@
 #include "util/logging.h"
 #include "util/random.h"
 #include "util/string_util.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 using namespace hytgraph;
@@ -171,6 +172,7 @@ void PrintArm(const ArmResult& arm) {
 void WriteJson(const std::vector<ArmResult>& arms) {
   FILE* out = std::fopen("BENCH_oocore.json", "w");
   HYT_CHECK(out != nullptr) << "cannot write BENCH_oocore.json";
+  const int pool_threads = ThreadPool::Default()->num_threads();
   std::fprintf(out, "[\n");
   for (size_t i = 0; i < arms.size(); ++i) {
     const ArmResult& a = arms[i];
@@ -181,7 +183,8 @@ void WriteJson(const std::vector<ArmResult>& arms) {
         "\"hits\": %llu, \"misses\": %llu, \"evictions\": %llu, "
         "\"bytes_read\": %llu, \"bytes_spilled\": %llu, "
         "\"hit_rate\": %.4f, \"prefetch_issued\": %llu, "
-        "\"prefetch_useful\": %llu, \"prefetch_accuracy\": %.4f}%s\n",
+        "\"prefetch_useful\": %llu, \"prefetch_accuracy\": %.4f, "
+        "\"pool_threads\": %d}%s\n",
         a.name.c_str(), a.budget_fraction, a.prefetch ? "true" : "false",
         a.throttled ? "true" : "false",
         static_cast<unsigned long long>(a.reps), a.wall_seconds * 1e3,
@@ -193,7 +196,8 @@ void WriteJson(const std::vector<ArmResult>& arms) {
         a.stats.HitRate(),
         static_cast<unsigned long long>(a.stats.prefetch_issued),
         static_cast<unsigned long long>(a.stats.prefetch_useful),
-        a.stats.PrefetchAccuracy(), i + 1 < arms.size() ? "," : "");
+        a.stats.PrefetchAccuracy(), pool_threads,
+        i + 1 < arms.size() ? "," : "");
   }
   std::fprintf(out, "]\n");
   std::fclose(out);

@@ -42,6 +42,7 @@
 #include "util/logging.h"
 #include "util/random.h"
 #include "util/string_util.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 using namespace hytgraph;
@@ -321,6 +322,7 @@ void WriteJson(const std::vector<Arm>& arms, double check_ns,
                double overhead_pct) {
   FILE* out = std::fopen("BENCH_serving.json", "w");
   HYT_CHECK(out != nullptr) << "cannot write BENCH_serving.json";
+  const int pool_threads = ThreadPool::Default()->num_threads();
   std::fprintf(out, "[\n");
   for (size_t i = 0; i < arms.size(); ++i) {
     const Arm& arm = arms[i];
@@ -329,20 +331,20 @@ void WriteJson(const std::vector<Arm>& arms, double check_ns,
                  "\"qps\": %.1f, \"p50_ms\": %.3f, \"p99_ms\": %.3f, "
                  "\"fusion_ratio\": %.4f, \"shed_rate\": %.4f, "
                  "\"completed\": %llu, \"executed_queries\": %llu, "
-                 "\"dispatch_holds\": %llu}%s\n",
+                 "\"dispatch_holds\": %llu, \"pool_threads\": %d}%s\n",
                  arm.name, arm.fused ? "true" : "false",
                  arm.mutators ? "true" : "false", arm.qps, arm.p50_ms,
                  arm.p99_ms, arm.fusion_ratio, arm.shed_rate,
                  static_cast<unsigned long long>(arm.completed),
                  static_cast<unsigned long long>(arm.executed_queries),
                  static_cast<unsigned long long>(arm.dispatch_holds),
-                 ",");
+                 pool_threads, ",");
   }
   std::fprintf(out,
                "  {\"arm\": \"disarmed-fault-check\", "
                "\"ns_per_check\": %.3f, "
-               "\"overhead_pct_of_request\": %.5f}\n",
-               check_ns, overhead_pct);
+               "\"overhead_pct_of_request\": %.5f, \"pool_threads\": %d}\n",
+               check_ns, overhead_pct, pool_threads);
   std::fprintf(out, "]\n");
   std::fclose(out);
 }

@@ -44,6 +44,7 @@
 #include "util/logging.h"
 #include "util/random.h"
 #include "util/string_util.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 using namespace hytgraph;
@@ -401,15 +402,17 @@ void WriteJson(const PublicationResult& publication,
                const IdentityResult& identity) {
   FILE* out = std::fopen("BENCH_streaming.json", "w");
   HYT_CHECK(out != nullptr) << "cannot write BENCH_streaming.json";
+  const int pool_threads = ThreadPool::Default()->num_threads();
   std::fprintf(out, "{\n");
   std::fprintf(out,
                "  \"publication\": {\"unpinned_us\": %.1f, \"pinned_us\": "
                "%.1f, \"ratio\": %.2f, \"max_overlay_depth\": %d, "
-               "\"pending_delta_edges\": %llu, \"flat\": %s},\n",
+               "\"pending_delta_edges\": %llu, \"flat\": %s, "
+               "\"pool_threads\": %d},\n",
                publication.unpinned_us, publication.pinned_us,
                publication.ratio, publication.max_depth,
                static_cast<unsigned long long>(publication.pending_delta),
-               publication.flat ? "true" : "false");
+               publication.flat ? "true" : "false", pool_threads);
   std::fprintf(out, "  \"serving\": [\n");
   for (size_t i = 0; i < serving.size(); ++i) {
     const ServingArm& arm = serving[i];
@@ -417,10 +420,10 @@ void WriteJson(const PublicationResult& publication,
                  "    {\"mutators\": %d, \"qps\": %.1f, "
                  "\"mutation_batches_per_sec\": %.1f, "
                  "\"mutation_edges_per_sec\": %.0f, \"p99_ms\": %.3f, "
-                 "\"completed\": %llu}%s\n",
+                 "\"completed\": %llu, \"pool_threads\": %d}%s\n",
                  arm.mutators, arm.qps, arm.mutations_per_sec,
                  arm.edges_per_sec, arm.p99_ms,
-                 static_cast<unsigned long long>(arm.completed),
+                 static_cast<unsigned long long>(arm.completed), pool_threads,
                  i + 1 < serving.size() ? "," : "");
   }
   std::fprintf(out, "  ],\n");
@@ -431,22 +434,22 @@ void WriteJson(const PublicationResult& publication,
                  "    {\"algo\": \"%s\", \"deleted_edges\": %llu, "
                  "\"derive_ms\": %.3f, \"incremental_ms\": %.3f, "
                  "\"full_ms\": %.3f, \"speedup\": %.2f, "
-                 "\"enforced\": %s}%s\n",
+                 "\"enforced\": %s, \"pool_threads\": %d}%s\n",
                  AlgorithmName(arm.algorithm),
                  static_cast<unsigned long long>(arm.deleted),
                  arm.derive_ms, arm.incremental_ms, arm.full_ms, arm.speedup,
-                 arm.enforced ? "true" : "false",
+                 arm.enforced ? "true" : "false", pool_threads,
                  i + 1 < cones.size() ? "," : "");
   }
   std::fprintf(out, "  ],\n");
   std::fprintf(out,
                "  \"pinned_identity\": {\"observations\": %llu, "
                "\"distinct_epochs\": %llu, \"ingested_batches\": %llu, "
-               "\"verified\": %s}\n",
+               "\"verified\": %s, \"pool_threads\": %d}\n",
                static_cast<unsigned long long>(identity.observations),
                static_cast<unsigned long long>(identity.distinct_epochs),
                static_cast<unsigned long long>(identity.ingested),
-               identity.ok ? "true" : "false");
+               identity.ok ? "true" : "false", pool_threads);
   std::fprintf(out, "}\n");
   std::fclose(out);
 }

@@ -106,15 +106,15 @@ void PrintUsage() {
       "                               threshold): when pending mutation\n"
       "                               deltas are folded into a fresh base\n"
       "                               snapshot. 'threshold' folds eagerly\n"
-      "                               (inline, on the mutating thread) once\n"
-      "                               the delta crosses --compact-threshold;\n"
+      "                               (on the mutating thread, after its\n"
+      "                               batch is published) once the delta\n"
+      "                               crosses --compact-threshold;\n"
       "                               'manual' never folds during replay\n"
       "                               (queries run on the delta overlay;\n"
       "                               Engine::Compact() is the only fold);\n"
       "                               'background' hands threshold-triggered\n"
-      "                               folds to a worker thread so neither\n"
-      "                               mutations nor queries block on the\n"
-      "                               rebuild\n"
+      "                               folds to a worker thread so no\n"
+      "                               mutation call pays for the rebuild\n"
       "  --compact-threshold N        pending delta edges that trigger a\n"
       "                               threshold-mode fold (default: max of\n"
       "                               4096 and 5%% of |E|)\n"

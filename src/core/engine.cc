@@ -162,8 +162,8 @@ void Engine::RepairDefaultSourceIfDirty() const {
       best == kInvalidVertex ? 0 : view.out_degree(best);
   std::unique_lock<std::shared_mutex> lock(graph_mu_);
   // Install only when NEITHER the epoch nor the layout moved under the
-  // rescan. The epoch check alone is not enough: a background fold (or an
-  // inline chain collapse) republishes the view with the same epoch but a
+  // rescan. The epoch check alone is not enough: a fold (or an inline
+  // chain collapse) republishes the view with the same epoch but a
   // new layout, and a batch replayed onto the folded base during the fold
   // window can change degrees the rescan never saw — installing the stale
   // argmax would pin a wrong default source until the next deletion.
@@ -207,70 +207,35 @@ SnapshotCompactor::Stats Engine::compactor_stats() const {
   return compactor_.stats();
 }
 
-Status Engine::CompactLocked() {
-  if (overlay_->empty()) return Status::OK();
-  const uint64_t mark = StorageFailureMark();
-  HYT_ASSIGN_OR_RETURN(CsrGraph folded, compactor_.Fold(*overlay_));
-  // A block that never arrived during the fold must not publish a base
-  // missing edges; nothing has been published yet, so failing here leaves
-  // the pre-fold state intact.
-  HYT_RETURN_NOT_OK(CheckStorageSince(mark, "compaction"));
-  auto fresh = std::make_shared<CsrGraph>(std::move(folded));
-  // Out of core: the folded snapshot spills to its own block file sharing
-  // the engine's cache/prefetcher/throttle (the old store's file is
-  // reclaimed when its last pinned view drops).
-  store_ = MaybeSpill(fresh, store_);
-  base_ = std::move(fresh);
-  overlay_ = std::make_shared<DeltaOverlay>(base_, store_);  // non-const: ctor
-  view_ = GraphView(base_, overlay_, store_);
-  ++layout_version_;
-  // The logical graph is unchanged (the fold only moved the physical
-  // layout), so the epoch and the default source stay put. Cached
-  // preparations still produce correct values, but they pin the pre-fold
-  // base + overlay — keeping them would defeat the point of compacting
-  // (shedding overlay overhead and the old snapshot's memory), and the
-  // epoch-based lazy invalidation cannot catch them. Drop them; in-flight
-  // queries keep their own shared_ptrs.
-  ClearPreparedCache();
-  return Status::OK();
-}
-
-Status Engine::Compact() {
-  if (background_ != nullptr) {
-    // The worker owns every fold in background mode (folds stay
-    // single-threaded); enqueue one and wait for the queue to drain so the
-    // explicit call keeps its synchronous meaning.
-    background_->RequestFold();
-    background_->WaitIdle();
-    return Status::OK();
+void Engine::PublishLocked(bool new_layout) {
+  GraphView next(base_, overlay_, store_);
+  // The reverse transpose depends only on the base: while the base is
+  // unchanged, the old view's (possibly built) transpose seeds the new one
+  // and pull queries skip the O(E) re-transpose. A fold's new base starts
+  // unseeded.
+  if (view_.base_ptr() == base_) {
+    next.SeedReverseBase(view_.reverse_base_if_built(),
+                         view_.reverse_store_if_built());
   }
-  std::unique_lock<std::shared_mutex> lock(graph_mu_);
-  return CompactLocked();
-}
-
-void Engine::WaitForCompaction() {
-  if (background_ != nullptr) background_->WaitIdle();
-}
-
-CycleResult Engine::BackgroundFoldCycle() {
-  // Supervisor plumbing: a failed fold degrades the compactor and parks a
-  // retry with a backoff ladder keyed off the failure streak. The live
-  // overlay still holds every mutation (the fold only moves the physical
-  // layout), so abandoning a capture is always safe — queries keep
-  // serving on the unfolded chain and WaitIdle does not block on the
-  // parked retry.
-  auto fail = [&](const Status& status) -> CycleResult {
-    health_.ReportFailure("compactor", status.ToString());
-    HYT_LOG(Warning) << "background fold failed: " << status.ToString();
-    const uint64_t streak =
-        std::min<uint64_t>(health_.ConsecutiveFailures("compactor"), 8);
-    return CycleResult{true, std::chrono::microseconds{200ull << streak}};
-  };
-  {
-    const Status fault = HYT_FAULT_POINT(faults::kCompactorFold);
-    if (!fault.ok()) return fail(fault);
+  // Rebuilding the view also drops the previous (possibly already-built)
+  // lazy offset index; O(1) — the index builds on first read.
+  view_ = std::move(next);
+  if (new_layout) {
+    // The logical graph is unchanged (the epoch and default source stay
+    // put), but cached preparations pin the old base + overlay — keeping
+    // them would defeat the point of compacting (shedding overlay overhead
+    // and the old snapshot's memory), and the epoch-based lazy
+    // invalidation cannot catch them. Drop them; in-flight queries keep
+    // their own shared_ptrs, and the layout-version bump lazily
+    // invalidates any entry a racing plan re-inserts against the old
+    // layout.
+    ++layout_version_;
+    ClearPreparedCache();
   }
+}
 
+Result<bool> Engine::Fold(bool only_if_due) {
+  std::lock_guard<std::mutex> fold_lock(fold_mu_);
   std::shared_ptr<const DeltaOverlay> captured;
   std::shared_ptr<const EdgeBlockStore> old_store;
   // The capture is read off-lock by Materialize below; the pin makes
@@ -279,9 +244,11 @@ CycleResult Engine::BackgroundFoldCycle() {
   OverlayPin fold_pin;
   {
     std::unique_lock<std::shared_mutex> lock(graph_mu_);
-    if (overlay_->empty()) {
-      health_.ReportSuccess("compactor");
-      return CycleResult{};
+    // A caller that waited on fold_mu_ behind another fold re-checks the
+    // threshold: that fold may already have absorbed its delta.
+    if (overlay_->empty() ||
+        (only_if_due && !compactor_.ShouldCompact(*overlay_))) {
+      return false;
     }
     fold_in_flight_ = true;
     fold_window_.clear();
@@ -289,93 +256,95 @@ CycleResult Engine::BackgroundFoldCycle() {
     fold_pin = OverlayPin(captured);
     old_store = store_;
   }
-  // Any exit below that does not publish must clear the fold window, or
-  // batches buffered for a fold that never lands would leak until the next
-  // capture overwrites them.
-  auto abandon = [&](const Status& status) -> CycleResult {
-    std::unique_lock<std::shared_mutex> lock(graph_mu_);
-    fold_in_flight_ = false;
-    fold_window_.clear();
-    lock.unlock();
-    return fail(status);
-  };
 
-  // The O(E) rebuild — off graph_mu_ entirely, so concurrent
-  // Run/RunBatch/ApplyMutations callers never wait on it. Deletions in
-  // the overlay stream base blocks through the store, so bracket the
-  // rebuild with a storage-failure mark: a block that never arrived must
-  // abandon the fold, not publish a base missing edges.
-  WallTimer timer;
-  const uint64_t mark = StorageFailureMark();
-  Result<CsrGraph> folded = captured->Materialize();
-  const double fold_seconds = timer.Seconds();
-  if (!folded.ok()) return abandon(folded.status());
-  {
-    const Status storage = CheckStorageSince(mark, "background fold");
-    if (!storage.ok()) return abandon(storage);
-  }
-
-  auto new_base = std::make_shared<CsrGraph>(std::move(folded).value());
-  // Spill the folded snapshot off-lock too — the O(E) block-file write
-  // happens on the worker, never under graph_mu_.
-  std::shared_ptr<const EdgeBlockStore> new_store =
-      MaybeSpill(new_base, old_store);
-  auto new_overlay = std::make_shared<DeltaOverlay>(new_base, new_store);
-  // Batches that raced the fold: replay them onto the new base. The folded
+  std::shared_ptr<CsrGraph> new_base;
+  std::shared_ptr<const EdgeBlockStore> new_store;
+  std::shared_ptr<DeltaOverlay> new_overlay;
+  double fold_seconds = 0.0;
+  size_t replayed = 0;
+  // Batches that raced the fold are replayed onto the new base. The folded
   // CSR equals old base + captured overlay, so replaying the window in
   // order reproduces exactly the live logical graph (same epochs — those
-  // were assigned when the batches first landed). Chase the window's tail
-  // with the lock dropped so the exclusive publication section below pays
-  // only for the last sliver of raced batches, not the whole fold's worth.
+  // were assigned when the batches first landed).
   auto replay = [&](const MutationBatch& batch) -> Status {
-    const uint64_t replay_mark = StorageFailureMark();
-    Result<DeltaOverlay::ApplyStats> reapplied = new_overlay->Apply(batch);
-    if (!reapplied.ok()) return reapplied.status();
-    return CheckStorageSince(replay_mark, "fold replay");
+    const uint64_t mark = StorageFailureMark();
+    HYT_RETURN_NOT_OK(new_overlay->Apply(batch).status());
+    return CheckStorageSince(mark, "fold replay");
   };
-  size_t replayed = 0;
-  for (int pass = 0; pass < 4; ++pass) {
-    std::vector<MutationBatch> tail;
-    {
-      std::shared_lock<std::shared_mutex> lock(graph_mu_);
-      if (fold_window_.size() == replayed) break;
-      tail.assign(fold_window_.begin() + static_cast<ptrdiff_t>(replayed),
-                  fold_window_.end());
+  // Everything up to the last sliver of the replay runs off graph_mu_, so
+  // concurrent Run/RunBatch/ApplyMutations callers never wait on the O(E)
+  // rebuild or the spill.
+  Status status = [&]() -> Status {
+    // Deletions in the overlay stream base blocks through the store: a
+    // block that never arrived must abandon the fold, not publish a base
+    // missing edges.
+    WallTimer timer;
+    const uint64_t mark = StorageFailureMark();
+    HYT_ASSIGN_OR_RETURN(CsrGraph folded, captured->Materialize());
+    fold_seconds = timer.Seconds();
+    HYT_RETURN_NOT_OK(CheckStorageSince(mark, "fold"));
+    new_base = std::make_shared<CsrGraph>(std::move(folded));
+    // Out of core, the folded snapshot spills to its own block file sharing
+    // the engine's cache/prefetcher/throttle (the old store's file is
+    // reclaimed when its last pinned view drops).
+    new_store = MaybeSpill(new_base, old_store);
+    new_overlay = std::make_shared<DeltaOverlay>(new_base, new_store);
+    // Chase the window's tail with the lock dropped, so the exclusive
+    // publication section below pays only for the last raced batches.
+    for (int pass = 0; pass < 4; ++pass) {
+      std::vector<MutationBatch> tail;
+      {
+        std::shared_lock<std::shared_mutex> lock(graph_mu_);
+        if (fold_window_.size() == replayed) break;
+        tail.assign(fold_window_.begin() + static_cast<ptrdiff_t>(replayed),
+                    fold_window_.end());
+      }
+      for (const MutationBatch& batch : tail) HYT_RETURN_NOT_OK(replay(batch));
+      replayed += tail.size();
     }
-    for (const MutationBatch& batch : tail) {
-      const Status status = replay(batch);
-      if (!status.ok()) return abandon(status);
-    }
-    replayed += tail.size();
-  }
+    return Status::OK();
+  }();
 
   std::unique_lock<std::shared_mutex> lock(graph_mu_);
-  for (; replayed < fold_window_.size(); ++replayed) {
-    const Status status = replay(fold_window_[replayed]);
-    if (!status.ok()) {
-      // Already under the exclusive lock: abandon inline.
-      fold_in_flight_ = false;
-      fold_window_.clear();
-      lock.unlock();
-      return fail(status);
-    }
+  for (; status.ok() && replayed < fold_window_.size(); ++replayed) {
+    status = replay(fold_window_[replayed]);
   }
+  // Published or abandoned, the window closes here: batches buffered for a
+  // fold that never lands must not leak into the next capture. Abandoning
+  // is always safe — the live overlay still holds every mutation, and
+  // queries keep serving on the unfolded chain.
   fold_in_flight_ = false;
   fold_window_.clear();
+  if (!status.ok()) return status;
   base_ = std::move(new_base);
   store_ = std::move(new_store);
   overlay_ = std::move(new_overlay);
-  view_ = GraphView(base_, overlay_, store_);
-  ++layout_version_;
+  PublishLocked(/*new_layout=*/true);
   compactor_.RecordFold(base_->num_edges(), fold_seconds);
-  // Same rationale as CompactLocked: cached preparations pin the pre-fold
-  // snapshots; drop them so the compacted layout takes over. The
-  // layout-version bump lazily invalidates any entry a racing plan
-  // re-inserts against the old layout.
-  ClearPreparedCache();
-  lock.unlock();
-  health_.ReportSuccess("compactor");
-  return CycleResult{};
+  return true;
+}
+
+Status Engine::Compact() { return Fold().status(); }
+
+void Engine::WaitForCompaction() {
+  if (background_ != nullptr) background_->WaitIdle();
+}
+
+CycleResult Engine::BackgroundFoldCycle() {
+  // Supervisor plumbing: a failed fold degrades the compactor and parks a
+  // retry with a backoff ladder keyed off the failure streak; WaitIdle
+  // does not block on the parked retry.
+  Status status = HYT_FAULT_POINT(faults::kCompactorFold);
+  if (status.ok()) status = Fold().status();
+  if (status.ok()) {
+    health_.ReportSuccess("compactor");
+    return CycleResult{};
+  }
+  health_.ReportFailure("compactor", status.ToString());
+  HYT_LOG(Warning) << "background fold failed: " << status.ToString();
+  const uint64_t streak =
+      std::min<uint64_t>(health_.ConsecutiveFailures("compactor"), 8);
+  return CycleResult{true, std::chrono::microseconds{200ull << streak}};
 }
 
 Result<MutationResult> Engine::ApplyMutations(const MutationBatch& batch) {
@@ -392,7 +361,7 @@ Result<MutationResult> Engine::ApplyMutations(const MutationBatch& batch) {
   // synchronization, so a batch may only land on an overlay object no
   // reader can observe. Every reader holds an OverlayPin (views pin at
   // construction, under the shared lock or by copying a still-live
-  // view; the background fold pins its capture), so a pin count at the
+  // view; a fold pins its capture), so a pin count at the
   // engine's own baseline — view_'s single pin, or zero while view_ is
   // transparent over an empty overlay — proves nobody outside this
   // Engine can traverse it, and the batch can land in place,
@@ -401,7 +370,7 @@ Result<MutationResult> Engine::ApplyMutations(const MutationBatch& batch) {
   // has all of its traversal ordered before the in-place writes.
   // (shared_ptr::use_count() cannot stand in — it is a relaxed load
   // with no such edge.) Otherwise (a pinned query, a prepared-cache
-  // entry, or a background fold's capture) the batch lands in a fresh
+  // entry, or a fold's capture) the batch lands in a fresh
   // O(1) *tail layer* chained over the pinned overlay
   // (DeltaOverlay::NewTail), published only when complete — never an
   // O(delta) copy, so publication latency is independent of how much
@@ -436,21 +405,7 @@ Result<MutationResult> Engine::ApplyMutations(const MutationBatch& batch) {
   }
   ++epoch_;
   if (next_overlay != nullptr) overlay_ = std::move(next_overlay);
-  // Either way the view is rebuilt: it must drop the previous (possibly
-  // already-built) lazy offset index. O(1) — the index builds on first
-  // read. The reverse transpose survives the rebuild: the base snapshot is
-  // unchanged, so the old view's (possibly built) reverse base seeds the
-  // new one and pull queries skip the O(E) re-transpose — it is rebuilt
-  // only when a fold publishes a new base (CompactLocked /
-  // BackgroundFoldCycle create unseeded views).
-  const std::shared_ptr<const CsrGraph> reverse_base =
-      view_.reverse_base_if_built();
-  const std::shared_ptr<const EdgeBlockStore> reverse_store =
-      view_.reverse_store_if_built();
-  // The forward store rides along implicitly: the new view inherits it
-  // from the overlay (whose COW copy carries the base store).
-  view_ = GraphView(base_, overlay_);
-  view_.SeedReverseBase(reverse_base, reverse_store);
+  PublishLocked(/*new_layout=*/false);
 
   EpochDelta log_entry;
   log_entry.epoch = epoch_;
@@ -476,7 +431,7 @@ Result<MutationResult> Engine::ApplyMutations(const MutationBatch& batch) {
     }
   }
 
-  // A background fold captured the overlay before this batch landed: the
+  // A fold captured the overlay before this batch landed: the
   // folded base will miss it, so buffer the batch for re-application onto
   // the new base at publication.
   if (fold_in_flight_) fold_window_.push_back(batch);
@@ -488,40 +443,35 @@ Result<MutationResult> Engine::ApplyMutations(const MutationBatch& batch) {
   result.epoch = epoch_;
   result.inserted = applied.inserted;
   result.deleted = applied.deleted;
+  // Under kThreshold the batch that crosses the threshold folds on this
+  // thread, but only after its publication is complete and graph_mu_ is
+  // released. Background mode hands the fold to the worker instead;
+  // requests while a fold is pending or in flight coalesce.
+  bool fold_inline = false;
   if (compactor_.ShouldCompact(*overlay_)) {
     if (background_ != nullptr) {
-      // Never fold on the mutator's thread: hand the O(E) rebuild to the
-      // worker. Requests while a fold is pending or in flight coalesce.
       background_->RequestFold();
       result.fold_scheduled = true;
     } else {
-      HYT_RETURN_NOT_OK(CompactLocked());
-      result.compacted = true;
+      fold_inline = true;
     }
   }
   // Bound the tail-layer chain: each layer adds a constant per-vertex
   // lookup to overlay iteration, so past a small depth the chain is merged
-  // back into one layer. Background mode hands it to the fold worker
-  // (whose rebuild flattens everything anyway); otherwise the merge runs
-  // inline — O(delta), but only once per kMaxOverlayDepth racing batches,
-  // and only when long-pinned readers forced the chain to grow. The
-  // logical graph is unchanged, so the epoch stays put; the layout bump
-  // retires prepared-cache entries still pinning the deep chain.
+  // back into one layer. A fold flattens everything anyway, so background
+  // mode asks the worker for one; otherwise the merge runs inline — O(delta),
+  // but only once per kMaxOverlayDepth racing batches, and only when
+  // long-pinned readers forced the chain to grow. The logical graph is
+  // unchanged, so the epoch stays put; the layout bump retires
+  // prepared-cache entries still pinning the deep chain.
   constexpr int kMaxOverlayDepth = 8;
-  if (overlay_->depth() > kMaxOverlayDepth && !result.compacted) {
+  if (overlay_->depth() > kMaxOverlayDepth && !fold_inline) {
     if (background_ != nullptr) {
       background_->RequestFold();
       result.fold_scheduled = true;
     } else if (!fold_in_flight_) {
       overlay_ = overlay_->Collapsed();
-      const std::shared_ptr<const CsrGraph> collapse_reverse =
-          view_.reverse_base_if_built();
-      const std::shared_ptr<const EdgeBlockStore> collapse_reverse_store =
-          view_.reverse_store_if_built();
-      view_ = GraphView(base_, overlay_);
-      view_.SeedReverseBase(collapse_reverse, collapse_reverse_store);
-      ++layout_version_;
-      ClearPreparedCache();
+      PublishLocked(/*new_layout=*/true);
     }
   }
   result.pending_delta_edges = overlay_->delta_edges();
@@ -529,6 +479,10 @@ Result<MutationResult> Engine::ApplyMutations(const MutationBatch& batch) {
   // reporting the storage failure now keeps the engine consistent while
   // still refusing to claim a clean apply.
   HYT_RETURN_NOT_OK(CheckStorageSince(storage_mark, "mutation apply"));
+  if (!fold_inline) return result;
+  lock.unlock();
+  HYT_ASSIGN_OR_RETURN(result.compacted, Fold(/*only_if_due=*/true));
+  result.pending_delta_edges = pending_delta_edges();
   return result;
 }
 

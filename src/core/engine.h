@@ -34,21 +34,22 @@
 //    keep running to completion on their snapshot while mutations land.
 //    Run/RunBatch/RunIncremental execute *directly on the live view*
 //    (base + delta merged on the fly): a query issued right after
-//    ApplyMutations triggers zero SnapshotCompactor folds. Folding is
-//    purely policy-driven — eager when the delta crosses the
-//    CompactionPolicy threshold (CompactionMode::kThreshold), only via
-//    explicit Compact() (CompactionMode::kManual), or handed to a
-//    BackgroundCompactor worker thread (CompactionMode::kBackground) so
-//    neither mutators nor queries ever block on the O(E) rebuild — batches
-//    racing a background fold are re-applied onto the freshly folded base
-//    at publication. Mutation publication itself is O(|batch|): the
-//    overlay patches per-vertex degree deltas incrementally, the view's
-//    logical offsets are a lazily built sparse index (no O(V) prefix
-//    rebuild under the write lock), and the default source tracks the
-//    degree argmax incrementally — batches racing a pinned reader land in
-//    an O(1) layered tail overlay (DeltaOverlay::NewTail) instead of an
-//    O(delta) copy, so publication latency is independent of how much
-//    delta the readers have pinned. Deep layer chains are collapsed off
+//    ApplyMutations triggers zero folds. Folding is purely policy-driven —
+//    on the mutator's thread when its batch crosses the CompactionPolicy
+//    threshold (CompactionMode::kThreshold), only via explicit Compact()
+//    (CompactionMode::kManual), or on a BackgroundCompactor worker thread
+//    (CompactionMode::kBackground). Every fold is the same off-lock cycle:
+//    capture the overlay under the write lock, materialize and spill the
+//    new base with no lock held, re-apply the batches that raced it onto
+//    the new base, then publish — so neither queries nor other mutators
+//    wait on the O(E) rebuild in any mode. Mutation publication itself is
+//    O(|batch|): the overlay patches per-vertex degree deltas
+//    incrementally, the view's logical offsets are a lazily built sparse
+//    index (no O(V) prefix rebuild under the write lock), and the default
+//    source tracks the degree argmax incrementally — batches racing a
+//    pinned reader land in an O(1) layered tail overlay
+//    (DeltaOverlay::NewTail) instead of an O(delta) copy, so publication
+//    latency is independent of how much delta the readers have pinned. Deep layer chains are collapsed off
 //    the write path (background worker) or inline past a small depth cap.
 //    EnqueueMutations is the wait-free admission path on top: batches go
 //    into a lock-free MPSC queue and a dedicated ingest worker drains them
@@ -174,15 +175,18 @@ struct MutationResult {
   uint64_t inserted = 0;
   uint64_t deleted = 0;
   /// True when the batch pushed the delta over the CompactionPolicy
-  /// threshold and the overlay was folded into a fresh base snapshot
-  /// inline (CompactionMode::kThreshold only).
+  /// threshold and this call then folded the overlay into a fresh base
+  /// snapshot (CompactionMode::kThreshold only). The fold runs on the
+  /// caller's thread after the batch is published, off the write lock;
+  /// false when a racing caller's fold had already absorbed the delta.
   bool compacted = false;
   /// True when the batch crossed the threshold under
   /// CompactionMode::kBackground and a fold was enqueued on the worker
   /// (the publication itself returned without folding).
   bool fold_scheduled = false;
-  /// Pending delta edges after the batch (0 right after an inline fold;
-  /// under kBackground the enqueued fold drains it asynchronously).
+  /// Pending delta edges after the batch (after its fold when `compacted`:
+  /// 0 unless batches raced the fold; under kBackground the enqueued fold
+  /// drains it asynchronously).
   uint64_t pending_delta_edges = 0;
 };
 
@@ -272,21 +276,22 @@ class Engine {
   /// depth cap trips.
   int overlay_depth() const;
 
-  /// Explicitly folds the pending delta into a fresh base snapshot (no-op
-  /// when none is pending). The logical graph and the epoch are unchanged —
-  /// only the physical layout moves. Cached preparations are dropped so
-  /// subsequent queries rebuild against the compacted layout (in-flight
-  /// queries keep the snapshots they pinned). This is the only fold
-  /// trigger under CompactionMode::kManual. Under kBackground the fold
-  /// runs on the worker; this call enqueues it and waits for the queue to
-  /// drain, so the pending delta observed at call time is folded on
-  /// return (modulo batches racing the publication).
+  /// Explicitly folds the pending delta into a fresh base snapshot on the
+  /// caller's thread (no-op when none is pending), in every mode. The
+  /// logical graph and the epoch are unchanged — only the physical layout
+  /// moves. Cached preparations are dropped so subsequent queries rebuild
+  /// against the compacted layout (in-flight queries keep the snapshots
+  /// they pinned). Folds run one at a time, so under kBackground this call
+  /// may first wait out a worker fold. Batches racing the fold are
+  /// re-applied onto the new base. This is the only fold trigger under
+  /// CompactionMode::kManual. Returns the fold's status: a storage failure
+  /// abandons the fold and leaves the unfolded overlay serving.
   Status Compact();
 
-  /// Publication barrier for asynchronous folds: blocks until the
-  /// background fold queue is drained and no fold cycle is in flight.
-  /// Immediate no-op under kThreshold/kManual (folds are synchronous
-  /// there).
+  /// Publication barrier for worker folds: blocks until the background
+  /// fold queue is drained and no worker fold cycle is in flight.
+  /// Immediate no-op under kThreshold/kManual, whose folds return only
+  /// after publishing.
   void WaitForCompaction();
 
   /// Runs one query under the engine default options.
@@ -351,7 +356,7 @@ class Engine {
   /// failure streak) flips the subsystem back to healthy.
   EngineHealth Health() const;
 
-  /// Fold statistics of the snapshot compactor (write- plus read-triggered).
+  /// Statistics of every published fold, whatever triggered it.
   SnapshotCompactor::Stats compactor_stats() const;
 
   /// True when the base CSR streams from the edge-block store (storage was
@@ -408,9 +413,22 @@ class Engine {
   /// shrank the tracked argmax).
   ViewRef CurrentViewRef() const;
 
-  /// Folds the pending overlay and promotes the result to the new base.
-  /// graph_mu_ must be held exclusively.
-  Status CompactLocked();
+  /// The one fold: captures the overlay under graph_mu_, materializes and
+  /// spills the new base off every lock, re-applies the batches that
+  /// landed during the fold (fold_window_) onto a fresh overlay over the
+  /// new base, then publishes. Returns whether a new base was published:
+  /// false when the overlay is empty, or — with `only_if_due` — when a
+  /// fold that ran while this one waited on fold_mu_ already took the
+  /// delta back under the policy threshold. A failure (storage failure
+  /// during Materialize or replay) abandons the capture; the live overlay
+  /// still holds every mutation. Call with no engine lock held.
+  Result<bool> Fold(bool only_if_due = false);
+
+  /// Installs base_/overlay_/store_ as the published view. While the base
+  /// is unchanged the old view's reverse transpose seeds the new one.
+  /// `new_layout` (a fold or chain collapse) bumps layout_version_ and
+  /// drops the prepared cache. graph_mu_ must be held exclusively.
+  void PublishLocked(bool new_layout);
 
   /// One ingest drain: moves queued batches onto the worker-local backlog
   /// and applies them front-first through ApplyMutations. A pre-apply
@@ -421,14 +439,10 @@ class Engine {
   /// the ingest worker.
   CycleResult IngestCycle();
 
-  /// One background fold: captures the overlay under the write lock,
-  /// materializes the new base off every lock, then republishes —
-  /// re-applying the mutation batches that landed during the fold onto a
-  /// fresh overlay over the new base. A failed fold (injected fault,
-  /// storage failure during Materialize or replay) abandons the capture —
-  /// the live overlay still holds every mutation — and retries with
-  /// backoff; queries keep serving on the unfolded chain meanwhile. Runs
-  /// on the BackgroundCompactor worker.
+  /// One worker fold: the compactor fault point, then Fold(). A failure
+  /// degrades the "compactor" subsystem and retries with backoff; queries
+  /// keep serving on the unfolded chain meanwhile. Runs on the
+  /// BackgroundCompactor worker.
   CycleResult BackgroundFoldCycle();
 
   /// Storage-failure bracketing: kernels fetch adjacency through a void
@@ -488,7 +502,9 @@ class Engine {
   std::shared_ptr<BlockCache> block_cache_;
   std::shared_ptr<Prefetcher> prefetcher_;
 
-  /// Guards the mutation state below. Writers (ApplyMutations, Compact)
+  /// Serializes folds (Fold). Lock order: fold_mu_, then graph_mu_.
+  std::mutex fold_mu_;
+  /// Guards the mutation state below. Writers (ApplyMutations, Fold)
   /// publish new immutable snapshots; readers copy shared_ptrs out.
   mutable std::shared_mutex graph_mu_;
   std::shared_ptr<const CsrGraph> base_;          // last folded snapshot
@@ -505,7 +521,7 @@ class Engine {
   mutable EdgeId default_source_degree_ = 0;
   mutable bool default_source_dirty_ = false;
   SnapshotCompactor compactor_;
-  /// True between a background fold's overlay capture and its publication;
+  /// True between a fold's overlay capture and its publication;
   /// batches applied in that window are buffered in fold_window_ and
   /// re-applied onto the new base when the fold publishes.
   bool fold_in_flight_ = false;
@@ -515,7 +531,7 @@ class Engine {
   /// log_floor_epoch_ records the newest retired epoch.
   std::deque<EpochDelta> mutation_log_;
   uint64_t log_floor_epoch_ = 0;
-  /// Bumped by CompactLocked; see ViewRef::layout.
+  /// Bumped by PublishLocked on a new layout; see ViewRef::layout.
   uint64_t layout_version_ = 0;
 
   struct CacheEntry {

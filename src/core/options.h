@@ -80,14 +80,6 @@ struct SolverOptions {
   /// Auto mode switches pull -> push when the active-vertex count drops
   /// below |V| / direction_beta (Beamer's beta; larger = switch back later).
   double direction_beta = 24.0;
-  /// Auto mode reads the push kernels' incrementally maintained scout count
-  /// (sum of activated out-degrees) for m_f instead of rescanning the
-  /// frontier bitmap each decision. The values are identical:
-  /// engine_direction_test compares the two arms on one batched
-  /// (serial-kernel) schedule, where each trace's frontier counts depend
-  /// only on its inputs. false forces the O(n_f) scan — an A/B switch, not a
-  /// semantics knob.
-  bool incremental_scout_count = true;
 
   /// Extra asynchronous rounds over a loaded subgraph. HyTGraph processes
   /// "only one more time"; Subway iterates to local convergence (-1 =

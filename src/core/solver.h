@@ -249,10 +249,9 @@ class Solver {
             // fallback for frontiers a scout-blind producer touched
             // (InitFrontier) — scout-valid frontiers carry exactly the
             // sum the scan would compute.
-            frontier_edges =
-                options_.incremental_scout_count && current->ScoutValid()
-                    ? current->ScoutCount()
-                    : FrontierActiveEdges(view_, *current);
+            frontier_edges = current->ScoutValid()
+                                 ? current->ScoutCount()
+                                 : FrontierActiveEdges(view_, *current);
             const bool threshold =
                 pulling ? static_cast<double>(active) *
                                   options_.direction_beta >=

@@ -1,16 +1,16 @@
-// BackgroundCompactor: a supervised worker thread that drains a fold queue
-// so the O(E) SnapshotCompactor rebuild never runs on a mutator's or
-// reader's thread. The Engine enqueues a request when the pending delta
-// crosses the CompactionPolicy threshold (CompactionMode::kBackground) or
-// when Engine::Compact() is called in that mode; the worker runs one fold
-// cycle per drain — requests that pile up while a cycle runs are coalesced,
-// since a single fold absorbs every delta pending at capture time.
+// BackgroundCompactor: a supervised worker thread that drains a request
+// queue by running one cycle callback per drain. The Engine runs two: the
+// fold worker (CompactionMode::kBackground), so the O(E) fold never runs on
+// a mutator's thread, and the ingest drainer behind EnqueueMutations. The
+// Engine requests a fold when the pending delta crosses the
+// CompactionPolicy threshold; requests that pile up while a cycle runs are
+// coalesced, since a single fold absorbs every delta pending at capture
+// time.
 //
-// The compactor knows nothing about graphs: it runs an opaque fold-cycle
-// callback (Engine::BackgroundFoldCycle), which captures the overlay under
-// the Engine's write lock, materializes the fresh base CSR off every lock,
-// and republishes — re-applying any mutation batches that raced the fold
-// onto the new base. That keeps the queue mechanics (worker lifecycle,
+// The compactor knows nothing about graphs: it runs an opaque cycle
+// callback (Engine::BackgroundFoldCycle, which runs the Engine's one fold,
+// Engine::Fold — the same fold kThreshold and Compact() run on the
+// caller's thread). That keeps the queue mechanics (worker lifecycle,
 // coalescing, idle barrier, shutdown) testable in isolation.
 //
 // Supervision: the cycle returns a CycleResult. A failed cycle (storage

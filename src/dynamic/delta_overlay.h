@@ -7,7 +7,7 @@
 // the GraphView the whole execution stack runs on, and the incremental
 // recomputation path — see the mutated graph without any CSR rebuild. Once
 // the delta grows past the compaction policy threshold (or Engine::Compact
-// is called), SnapshotCompactor folds the overlay into a fresh base via
+// is called), Engine::Fold folds the overlay into a fresh base via
 // Materialize().
 //
 // Overlays form a parent chain. NewTail(parent) opens an O(1) tail layer

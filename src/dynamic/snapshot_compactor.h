@@ -1,10 +1,14 @@
-// SnapshotCompactor: folds a DeltaOverlay into a fresh immutable CSR
-// snapshot. Folding is purely *policy-driven* — queries never trigger it:
+// SnapshotCompactor: the fold policy and fold statistics of the dynamic
+// layer. The fold itself — capture the overlay, materialize and spill a new
+// base CSR off every lock, replay the batches that raced it, publish — is
+// Engine::Fold; this class only decides when it is due and counts what it
+// did. Folding is purely *policy-driven* — queries never trigger it:
 //
-//  * write-triggered — under CompactionMode::kThreshold, ApplyMutations
-//    compacts when the pending delta exceeds the policy threshold, bounding
-//    overlay size (and therefore query-on-overlay overhead) during
-//    mutation-heavy phases;
+//  * write-triggered — under CompactionMode::kThreshold, the ApplyMutations
+//    call whose batch crosses the policy threshold folds on its own thread
+//    once the batch is published, bounding overlay size (and therefore
+//    query-on-overlay overhead) during mutation-heavy phases; under
+//    kBackground the crossing enqueues the fold on a worker instead;
 //  * explicit — Engine::Compact() folds on demand (the only trigger under
 //    CompactionMode::kManual), letting servers schedule the O(E) rebuild
 //    off the latency-critical path.
@@ -21,24 +25,23 @@
 
 #include "dynamic/delta_overlay.h"
 #include "graph/csr_graph.h"
-#include "util/status.h"
 
 namespace hytgraph {
 
 /// When pending deltas are folded into a fresh base snapshot.
 enum class CompactionMode : uint8_t {
   /// ApplyMutations folds eagerly once the delta crosses the threshold,
-  /// inline on the mutator's thread (the batch that trips the threshold
-  /// pays the O(E) rebuild).
+  /// on the mutator's thread (the call whose batch trips the threshold
+  /// pays the O(E) rebuild, after publishing its batch and releasing the
+  /// write lock — other mutators and queries do not wait on it).
   kThreshold = 0,
   /// Only an explicit Engine::Compact() folds; the delta grows unboundedly
   /// otherwise (callers own the schedule).
   kManual = 1,
   /// Crossing the threshold enqueues a fold on the Engine's
-  /// BackgroundCompactor worker instead of folding inline: mutators and
-  /// queries never block on the O(E) rebuild, and batches racing the fold
-  /// land in a fresh overlay layered on the about-to-publish base. The
-  /// delta can overshoot the threshold while a fold is in flight.
+  /// BackgroundCompactor worker instead of folding on the mutator's thread,
+  /// so no mutator pays for the O(E) rebuild. The delta can overshoot the
+  /// threshold while a fold is in flight.
   kBackground = 2,
 };
 
@@ -80,19 +83,16 @@ class SnapshotCompactor {
 
   /// Write-trigger test: has the pending delta crossed the threshold?
   /// Always false under CompactionMode::kManual. Under kBackground a true
-  /// result means "enqueue a background fold", not "fold inline".
+  /// result means "enqueue a background fold", not "fold on this thread".
   bool ShouldCompact(const DeltaOverlay& overlay) const {
     if (policy_.mode == CompactionMode::kManual) return false;
     return overlay.delta_edges() >=
            policy_.ThresholdFor(overlay.base().num_edges());
   }
 
-  /// Folds base + delta into a standalone CSR, timing the rebuild.
-  Result<CsrGraph> Fold(const DeltaOverlay& overlay);
-
-  /// Accounts a fold whose Materialize ran elsewhere (the background
-  /// worker rebuilds off the Engine's write lock and records the result
-  /// under it, so stats stay lock-protected).
+  /// Accounts one published fold (Engine::Fold rebuilds off the Engine's
+  /// write lock and records the result under it, so stats stay
+  /// lock-protected).
   void RecordFold(EdgeId snapshot_edges, double seconds) {
     ++stats_.folds;
     stats_.edges_folded += snapshot_edges;

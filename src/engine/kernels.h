@@ -282,30 +282,8 @@ uint64_t RunKernel(const CsrGraph& graph, std::span<const VertexId> actives,
   return RunKernel(GraphView::Wrap(graph), actives, program, next, shares);
 }
 
-/// Pull-mode relaxation: for every candidate vertex v (dense scan over the
-/// whole vertex space — no active-list materialization), gather from the
-/// in-neighbours that are in `current`, applying the same ProcessEdge
-/// relaxations push would. The edge set relaxed is identical to push's
-/// (all (u, v) with u active), so the converged fixpoint values are
-/// identical; per-iteration frontiers can drift slightly — pull reads
-/// BeginVertex(u) per in-edge where push snapshots it once per active
-/// vertex, so mid-iteration improvements may propagate one iteration
-/// earlier or later than under push (monotonicity makes either schedule
-/// converge to the same values). The wins are structural:
-///
-///  * next-frontier maintenance is one bit set per *changed candidate*
-///    instead of one per improving edge (the dense-iteration contention
-///    the bitmap-directed frontier tries to contain);
-///  * a candidate already at the iteration floor — the best potential any
-///    frontier vertex holds, a conservative bound on every offer — skips
-///    its scan entirely, and a candidate that reaches the floor mid-scan
-///    early-exits (classic direction-optimizing payoff: one parent found,
-///    stop).
-///
-/// Requires the view's reverse side; builds it on first use (O(E) once per
-/// layout version — the Engine seeds the transpose across epochs).
-/// Returns in-edges scanned (including frontier-membership misses), the
-/// honest work unit pull is judged by.
+/// The iteration floor of a pull iteration: the best potential any frontier
+/// vertex holds, a conservative bound on every offer RunPullKernel can see.
 template <typename Program>
   requires PullCapableProgram<Program>
 typename Program::PullBound PullIterationFloor(const Frontier& current,
@@ -339,43 +317,33 @@ typename Program::PullBound PullIterationFloor(const Frontier& current,
   return floor;
 }
 
-/// Serial pull gather over the candidate range [v_begin, v_end) against a
-/// precomputed iteration floor: one RunPullKernel shard. Activations into
-/// `next` go through ShardActivations, so the shard publishes its totals
-/// once and the scout count stays exact across pull iterations too.
-template <typename Program>
-  requires PullCapableProgram<Program>
-uint64_t RunPullKernelRange(const GraphView& view, const Frontier& current,
-                            Program& program, Frontier* next,
-                            typename Program::PullBound floor,
-                            VertexId v_begin, VertexId v_end) {
-  uint64_t local_edges = 0;
-  // One lease for the whole slice: the dense ascending scan re-pins the
-  // transpose block only on boundary crossings when it streams.
-  BlockRef lease;
-  ShardActivations activations(view, next);
-  for (VertexId v = v_begin; v < v_end; ++v) {
-    if (program.SettledAt(v, floor)) continue;
-    bool changed = false;
-    view.ForEachInNeighborWhileLeased(v, &lease, [&](VertexId u, Weight w) {
-      ++local_edges;
-      if (!current.IsActive(u)) return true;
-      typename Program::VertexContext ctx;
-      if (!program.BeginVertex(u, &ctx)) return true;
-      if (program.ProcessEdge(ctx, u, v, w)) {
-        changed = true;
-        // Settled at the floor: no remaining in-neighbour can offer
-        // better — stop the scan.
-        if (program.SettledAt(v, floor)) return false;
-      }
-      return true;
-    });
-    if (changed) activations.Activate(v);
-  }
-  activations.Publish();
-  return local_edges;
-}
-
+/// Pull-mode relaxation: for every candidate vertex v (dense scan over the
+/// whole vertex space — no active-list materialization), gather from the
+/// in-neighbours that are in `current`, applying the same ProcessEdge
+/// relaxations push would. The edge set relaxed is identical to push's
+/// (all (u, v) with u active), so the converged fixpoint values are
+/// identical; per-iteration frontiers can drift slightly — pull reads
+/// BeginVertex(u) per in-edge where push snapshots it once per active
+/// vertex, so mid-iteration improvements may propagate one iteration
+/// earlier or later than under push (monotonicity makes either schedule
+/// converge to the same values). The wins are structural:
+///
+///  * next-frontier maintenance is one bit set per *changed candidate*
+///    instead of one per improving edge (the dense-iteration contention
+///    the bitmap-directed frontier tries to contain);
+///  * a candidate already at the iteration floor — the best potential any
+///    frontier vertex holds, a conservative bound on every offer — skips
+///    its scan entirely, and a candidate that reaches the floor mid-scan
+///    early-exits (classic direction-optimizing payoff: one parent found,
+///    stop).
+///
+/// Requires the view's reverse side; builds it on first use (O(E) once per
+/// layout version — the Engine seeds the transpose across epochs).
+/// Shards cover disjoint vertex ranges; activations into `next` go through
+/// ShardActivations, so each shard publishes its totals once and the scout
+/// count stays exact across pull iterations too. Returns in-edges scanned
+/// (including frontier-membership misses), the honest work unit pull is
+/// judged by.
 template <typename Program>
   requires PullCapableProgram<Program>
 uint64_t RunPullKernel(const GraphView& view, const Frontier& current,
@@ -390,11 +358,32 @@ uint64_t RunPullKernel(const GraphView& view, const Frontier& current,
   ThreadPool::Default()->ParallelFor(
       n,
       [&](int /*shard*/, uint64_t begin, uint64_t end) {
-        edges_processed.fetch_add(
-            RunPullKernelRange(view, current, program, next, floor,
-                               static_cast<VertexId>(begin),
-                               static_cast<VertexId>(end)),
-            std::memory_order_relaxed);
+        uint64_t local_edges = 0;
+        // One lease for the whole slice: the dense ascending scan re-pins
+        // the transpose block only on boundary crossings when it streams.
+        BlockRef lease;
+        ShardActivations activations(view, next);
+        for (auto v = static_cast<VertexId>(begin); v < end; ++v) {
+          if (program.SettledAt(v, floor)) continue;
+          bool changed = false;
+          view.ForEachInNeighborWhileLeased(
+              v, &lease, [&](VertexId u, Weight w) {
+                ++local_edges;
+                if (!current.IsActive(u)) return true;
+                typename Program::VertexContext ctx;
+                if (!program.BeginVertex(u, &ctx)) return true;
+                if (program.ProcessEdge(ctx, u, v, w)) {
+                  changed = true;
+                  // Settled at the floor: no remaining in-neighbour can
+                  // offer better — stop the scan.
+                  if (program.SettledAt(v, floor)) return false;
+                }
+                return true;
+              });
+          if (changed) activations.Activate(v);
+        }
+        activations.Publish();
+        edges_processed.fetch_add(local_edges, std::memory_order_relaxed);
       },
       /*min_grain=*/256);
   return edges_processed.load();

@@ -1,11 +1,11 @@
 // Concurrency stress for the dynamic serving path: reader threads run all
 // six algorithms against mutator threads streaming batches through a
-// background-compacting engine. Every query pins the epoch it planned
-// against; afterwards the test replays the recorded mutation log up to that
-// epoch and checks the result against the serial reference implementation
-// on the reconstructed graph — snapshot isolation, the O(delta)
-// publication path, and asynchronous fold publication all have to hold for
-// every single query to match.
+// folding engine. Every query pins the epoch it planned against;
+// afterwards the test replays the recorded mutation log up to that epoch
+// and checks the result against the serial reference implementation on the
+// reconstructed graph — snapshot isolation, the O(delta) publication path,
+// and off-lock fold publication all have to hold for every single query to
+// match.
 //
 // This suite is also the main ThreadSanitizer workload for the engine's
 // mutation state (see the sanitize-thread CI job).
@@ -159,12 +159,17 @@ void VerifyObservations(const std::vector<Observation>& observations,
   }
 }
 
-TEST(DynamicConcurrencyStressTest, EveryQueryMatchesItsPinnedEpoch) {
+// Run under both fold triggers: kBackground folds on the worker, and
+// kThreshold folds on whichever mutator's batch crosses the threshold —
+// racing the other mutator's batches through the fold window.
+class DynamicFoldStressTest
+    : public ::testing::TestWithParam<CompactionMode> {};
+
+TEST_P(DynamicFoldStressTest, EveryQueryMatchesItsPinnedEpoch) {
   const CsrGraph base = SmallRmat(8, 8, /*seed=*/21);
-  const VertexId n = base.num_vertices();
 
   CompactionPolicy policy;
-  policy.mode = CompactionMode::kBackground;
+  policy.mode = GetParam();
   policy.min_delta_edges = 128;  // folds stay almost always in flight
   policy.delta_fraction = 0.0;
   SolverOptions options = SolverOptions::Defaults(SystemKind::kCpu);
@@ -227,7 +232,7 @@ TEST(DynamicConcurrencyStressTest, EveryQueryMatchesItsPinnedEpoch) {
   ASSERT_FALSE(failed) << "a concurrent Run or ApplyMutations errored";
   engine.WaitForCompaction();
   ASSERT_GE(engine.compactor_stats().folds, 1u)
-      << "the stress never exercised a background fold";
+      << "the stress never exercised a fold";
 
   // --- Verification: replay the log and check every observation. ---
   // Readers reuse two sources per algorithm, so the memoized
@@ -237,6 +242,14 @@ TEST(DynamicConcurrencyStressTest, EveryQueryMatchesItsPinnedEpoch) {
   VerifyObservations(observations, [] { return SmallRmat(8, 8, 21); },
                      batch_log);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    FoldTriggers, DynamicFoldStressTest,
+    ::testing::Values(CompactionMode::kThreshold, CompactionMode::kBackground),
+    [](const ::testing::TestParamInfo<CompactionMode>& info) {
+      return info.param == CompactionMode::kThreshold ? "Threshold"
+                                                      : "Background";
+    });
 
 // The serving layer under the same fire: concurrent clients submit mixed
 // algorithms, priorities, and deadlines through a QueryServer while

@@ -162,11 +162,28 @@ TEST(EngineMutationTest, WriteTriggeredCompactionAtThreshold) {
   EXPECT_FALSE(first->compacted);  // delta 1 < threshold 2
   EXPECT_EQ(first->pending_delta_edges, 1u);
 
+  // The logical graph the second batch publishes before its fold: the
+  // unchanged base plus both batches.
+  DeltaOverlay unfolded(engine.Snapshot());
+  ASSERT_TRUE(unfolded.Apply(one).ok());
+  ASSERT_TRUE(unfolded.Apply(one).ok());
+  auto before = unfolded.Materialize();
+  ASSERT_TRUE(before.ok());
+
   auto second = engine.ApplyMutations(one);
   ASSERT_TRUE(second.ok());
   EXPECT_TRUE(second->compacted);
   EXPECT_EQ(second->pending_delta_edges, 0u);
   EXPECT_EQ(engine.compactor_stats().folds, 1u);
+  EXPECT_EQ(engine.compactor_stats().edges_folded, engine.graph().num_edges());
+  EXPECT_EQ(engine.graph().num_edges(), before->num_edges());
+
+  // The fold moved only the physical layout.
+  auto after = engine.View().Materialize();
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after->row_offsets(), before->row_offsets());
+  EXPECT_EQ(after->column_index(), before->column_index());
+  EXPECT_EQ(after->edge_weights(), before->edge_weights());
 }
 
 TEST(EngineMutationTest, ReadsAndQueriesNeverTriggerAFold) {

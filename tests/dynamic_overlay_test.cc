@@ -281,19 +281,5 @@ TEST(SnapshotCompactorTest, ThresholdCombinesFloorAndFraction) {
   EXPECT_EQ(policy.ThresholdFor(1000000), 10000u);  // fraction wins
 }
 
-TEST(SnapshotCompactorTest, FoldProducesTheMaterializedGraphAndCounts) {
-  DeltaOverlay overlay(Shared(PaperFigure1Graph()));
-  MutationBatch batch;
-  batch.InsertEdge(5, 2, 8);
-  ASSERT_TRUE(overlay.Apply(batch).ok());
-
-  SnapshotCompactor compactor;
-  auto folded = compactor.Fold(overlay);
-  ASSERT_TRUE(folded.ok());
-  EXPECT_EQ(folded->num_edges(), overlay.base().num_edges() + 1);
-  EXPECT_EQ(compactor.stats().folds, 1u);
-  EXPECT_EQ(compactor.stats().edges_folded, folded->num_edges());
-}
-
 }  // namespace
 }  // namespace hytgraph
