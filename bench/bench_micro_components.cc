@@ -6,6 +6,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <string>
+
 #include "algorithms/programs.h"
 #include "engine/compactor.h"
 #include "engine/kernels.h"
@@ -159,4 +161,15 @@ BENCHMARK(BM_ZeroCopyRequestCounting);
 }  // namespace
 }  // namespace hytgraph
 
-BENCHMARK_MAIN();
+// BENCHMARK_MAIN plus the pool size in the run's context, so the console
+// header and the JSON report's "context" both carry pool_threads.
+int main(int argc, char** argv) {
+  benchmark::AddCustomContext(
+      "pool_threads",
+      std::to_string(hytgraph::ThreadPool::Default()->num_threads()));
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -1,22 +1,18 @@
 // Writing your own algorithm: the solver runs any type satisfying the
-// vertex-program concept (core/solver.h). This example implements
+// vertex-program concept (algorithms/programs.h). This example implements
 // *hop-bounded influence spread* — from a seed set, how many vertices are
 // reachable within k hops — as a from-scratch program, then runs it under
 // HyTGraph and two baselines.
 //
-// The program concept in one screen:
-//   using Value           — the per-vertex value type
-//   kNeedsWeights         — whether edge weights must be transferred
-//   kHasDelta             — accumulation program: DeltaOf(v) exists
-//                           (Δ-driven priority) and Share/Apply replace
-//                           ProcessEdge (see PageRankProgram)
-//   InitFrontier(f)       — seed the first iteration
-//   BeginVertex(u, &ctx)  — load per-visit state; false skips u
-//   ProcessEdge(ctx,u,v,w)— relax one edge; true activates v
-//   Values()              — snapshot results
+// The program concept (the members the solver calls, and which of them a
+// value-selection or an accumulation program needs) is written out in the
+// header of algorithms/programs.h. A built-in selection algorithm would be
+// a rule for SelectionProgram there; this one is written out in full to
+// show the concept itself.
 
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 
 #include "algorithms/atomic_ops.h"
 #include "core/solver.h"
@@ -65,7 +61,7 @@ class InfluenceSpreadProgram {
 
   bool ProcessEdge(const VertexContext& ctx, VertexId /*u*/, VertexId v,
                    Weight /*w*/) {
-    return AtomicMin(&hops_[v], ctx.hops + 1);
+    return AtomicImprove(&hops_[v], ctx.hops + 1, std::less<uint32_t>());
   }
 
   std::vector<uint32_t> Values() const {

@@ -1,8 +1,9 @@
-// Lock-free primitive used by the value-selection vertex programs: CAS-loop
-// atomic min, the host-side equivalent of the CUDA atomicMin the paper's
-// kernels rely on. The accumulation programs (PR/PHP) need no atomics: the
-// kernels push their per-edge shares into shard-private rows that the
-// solver folds in shard order (ShareRows in engine/kernels.h).
+// Lock-free primitive used by the value-selection vertex programs: the
+// CAS-loop improve, the host-side equivalent of the CUDA atomicMin /
+// atomicMax the paper's kernels rely on. The accumulation programs (PR/PHP)
+// need no atomics: the kernels push their per-edge shares into
+// shard-private rows that the solver folds in shard order (ShareRows in
+// engine/kernels.h).
 
 #ifndef HYTGRAPH_ALGORITHMS_ATOMIC_OPS_H_
 #define HYTGRAPH_ALGORITHMS_ATOMIC_OPS_H_
@@ -11,12 +12,13 @@
 
 namespace hytgraph {
 
-/// Atomically sets *target = min(*target, value). Returns true if the
-/// stored value decreased.
-template <typename T>
-bool AtomicMin(std::atomic<T>* target, T value) {
+/// Atomically sets *target = value while better(value, *target) holds.
+/// Returns true if the stored value changed. std::less gives atomic min,
+/// std::greater atomic max.
+template <typename T, typename Better>
+bool AtomicImprove(std::atomic<T>* target, T value, Better better) {
   T current = target->load(std::memory_order_relaxed);
-  while (value < current) {
+  while (better(value, current)) {
     if (target->compare_exchange_weak(current, value,
                                       std::memory_order_relaxed)) {
       return true;

@@ -1,32 +1,64 @@
-// The paper's four evaluation algorithms (BFS, SSSP, CC, PageRank) plus PHP
-// (Penalized Hitting Probability, Zhang et al. "Maiter" — the other Δ-based
-// algorithm Section VI-A names), expressed as push-mode vertex programs for
-// the solver (see core/solver.h for the Program concept).
+// The vertex programs the solver runs, and the program concept they share.
 //
-// Two families, exactly the paper's taxonomy (Section III):
-//  * value-selection (BFS, SSSP, CC): values only improve (atomic min), the
-//    frontier shrinks as values converge — the "increase then decrease"
-//    active pattern;
-//  * value-accumulation (PR, PHP): pending deltas accumulate until consumed
-//    — the "monotone decrease" active pattern; these expose DeltaOf() for
-//    Δ-driven contribution scheduling. They hold no atomics: Share(ctx, v,
-//    w) gives the message one edge carries, the kernels add it to the
-//    calling shard's private row, and the solver's fold (ShareRows in
-//    engine/kernels.h) sums the rows in shard order and hands each sum to
-//    Apply(v, sum), which reports whether v's |delta| reached epsilon. A
-//    warm start (previous values plus a residual, which may be negative)
-//    lets incremental runs propagate with the same kernels.
+// The paper's four evaluation algorithms (BFS, SSSP, CC, PageRank), plus
+// PHP (Penalized Hitting Probability, Zhang et al. "Maiter", the other
+// Δ-based algorithm Section VI-A names) and SSWP (widest path), in the
+// paper's two families (Section III):
+//  * value selection (BFS, SSSP, CC, SSWP): values only improve (min, or
+//    max for SSWP) and the frontier shrinks as values converge, the
+//    "increase then decrease" active pattern. Each algorithm is a rule
+//    (BfsRule, SsspRule, CcRule, SswpRule) that says what a value is and
+//    how an edge offers a better one; SelectionProgram<Rule> derives the
+//    program from it, and the incremental paths (dynamic/incremental.cc)
+//    run the same rules. A new selection algorithm is a new rule.
+//  * value accumulation (PR, PHP): pending deltas accumulate until
+//    consumed, the "monotone decrease" active pattern; these expose
+//    DeltaOf() for Δ-driven contribution scheduling. They hold no atomics:
+//    Share(ctx, v, w) gives the message one edge carries, the kernels add
+//    it to the calling shard's private row, and the solver's fold
+//    (ShareRows in engine/kernels.h) sums the rows in shard order and
+//    hands each sum to Apply(v, sum), which reports whether v's |delta|
+//    reached epsilon. A warm start (previous values plus a residual, which
+//    may be negative) lets incremental runs propagate with the same
+//    kernels.
 //
-// The value-selection family additionally implements the pull-direction
-// hooks (see RunPullKernel in engine/kernels.h): PullPotential(u) is the
-// best value active vertex u could write to any out-neighbour this
-// iteration, and SettledAt(v, bound) reports whether v's value is already
-// at least as good as `bound` — once v settles at the iteration floor (the
-// best potential over the whole frontier), no in-neighbour scan can improve
-// it, so pull candidates early-exit. The floor is conservative (every
-// actual offer is >= it), which keeps pull values bitwise identical to
-// push. PR/PHP stay push-only: their BeginVertex *consumes* the pending
-// delta, so gathering per in-edge would double-count mass.
+// Program concept. The solver (core/solver.h) and the kernels
+// (engine/kernels.h) run any type with these members; the kernels supply
+// iteration order, parallelism and frontier maintenance:
+//   using Value = ...;                     // per-vertex value type
+//   static constexpr bool kNeedsWeights;   // edge weights are transferred
+//   static constexpr bool kHasDelta;       // the accumulation family
+//   static constexpr const char* kName;
+//   void InitFrontier(Frontier* frontier); // seeds the first iteration
+//   struct VertexContext {...};            // per-source state for one visit
+//   std::vector<Value> Values() const;     // snapshot of the results
+//  Value selection (kHasDelta == false) relaxes in place:
+//   bool BeginVertex(VertexId u, VertexContext* ctx);  // false: skip u
+//   bool ProcessEdge(const VertexContext& ctx, VertexId u, VertexId v,
+//                    Weight w);            // true: v improved, activate it
+//  Accumulation (kHasDelta == true) pushes shares, see ShareRows:
+//   bool BeginVertex(VertexId u, VertexContext* ctx, double own_share);
+//   double Share(const VertexContext& ctx, VertexId v, Weight w) const;
+//   bool Apply(VertexId v, double sum);    // true: delta reached epsilon
+//   double DeltaOf(VertexId v) const;      // Δ-driven priority
+//  Pull direction, value selection only (PullCapableProgram in
+//  engine/kernels.h):
+//   using PullBound = ...;
+//   static PullBound WorstBound();
+//   static PullBound BetterBound(PullBound a, PullBound b);
+//   PullBound PullPotential(VertexId u) const;
+//   bool SettledAt(VertexId v, PullBound bound) const;
+//   static constexpr bool kPullCandidatesLinger;  // solver's cost feedback
+//
+// PullPotential(u) is the best value active vertex u could write to any
+// out-neighbour this iteration, and SettledAt(v, bound) reports whether
+// v's value is already at least as good as `bound`. Once v settles at the
+// iteration floor (the best potential over the whole frontier), no
+// in-neighbour scan can improve it, so pull candidates early-exit (see
+// RunPullKernel). The floor is conservative (no actual offer beats it),
+// which keeps pull values bitwise identical to push. PR/PHP stay
+// push-only: their BeginVertex *consumes* the pending delta, so gathering
+// per in-edge would double-count mass.
 
 #ifndef HYTGRAPH_ALGORITHMS_PROGRAMS_H_
 #define HYTGRAPH_ALGORITHMS_PROGRAMS_H_
@@ -34,8 +66,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <mutex>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -51,133 +85,183 @@ namespace hytgraph {
 inline constexpr uint32_t kUnreachable =
     std::numeric_limits<uint32_t>::max();
 
-/// Breadth-First Search: level of every vertex from a source.
-class BfsProgram {
+/// A value-selection algorithm, stated as a rule over uint32_t values:
+///   static uint32_t Identity(VertexId v);     // v's value before any offer
+///   static constexpr bool kSourceSeeded;      // false: every vertex seeds
+///   static constexpr uint32_t kSourceValue;   // if kSourceSeeded
+///   static bool Productive(uint32_t x);       // x has offers to make
+///   static uint32_t Candidate(uint32_t x, Weight w);  // offer over (u, v)
+///   static constexpr bool Improves(uint32_t a, uint32_t b);  // a beats b
+///   static constexpr bool kNeedsWeights, kPullCandidatesLinger;
+///   static constexpr const char* kName;
+/// SelectionProgram<Rule> derives the program from these: the atomic value
+/// array, InitFrontier, BeginVertex (Productive), ProcessEdge (one CAS loop
+/// that stores the candidate while it improves the value) and the pull
+/// hooks. The best potential of a productive x is the better of
+/// Candidate(x, 0) and Candidate(x, max weight), which bounds every offer
+/// when Candidate is monotone in w. A rule whose bound needs the graph
+/// (SSSP) is constructed from the view and supplies
+///   uint32_t PullPotential(VertexId u, uint32_t x) const;
+template <typename Rule>
+class SelectionProgram {
  public:
   using Value = uint32_t;
-  static constexpr bool kNeedsWeights = false;
+  static constexpr bool kNeedsWeights = Rule::kNeedsWeights;
   static constexpr bool kHasDelta = false;
+  static constexpr bool kPullCandidatesLinger = Rule::kPullCandidatesLinger;
+  static constexpr const char* kName = Rule::kName;
+
+  SelectionProgram(const GraphView& view, VertexId source)
+    requires Rule::kSourceSeeded
+      : rule_(MakeRule(view)), source_(source), values_(view.num_vertices()) {
+    StoreIdentities();
+    values_[source_].store(Rule::kSourceValue, std::memory_order_relaxed);
+  }
+
+  SelectionProgram(const CsrGraph& graph, VertexId source)
+    requires Rule::kSourceSeeded
+      : SelectionProgram(GraphView::Wrap(graph), source) {}
+
+  explicit SelectionProgram(const GraphView& view)
+    requires(!Rule::kSourceSeeded)
+      : rule_(MakeRule(view)), values_(view.num_vertices()) {
+    StoreIdentities();
+  }
+
+  explicit SelectionProgram(const CsrGraph& graph)
+    requires(!Rule::kSourceSeeded)
+      : SelectionProgram(GraphView::Wrap(graph)) {}
+
+  void InitFrontier(Frontier* frontier) {
+    if constexpr (Rule::kSourceSeeded) {
+      frontier->Activate(source_);
+    } else {
+      for (VertexId v = 0; v < static_cast<VertexId>(values_.size()); ++v) {
+        frontier->Activate(v);
+      }
+    }
+  }
+
+  struct VertexContext {
+    Value value;
+  };
+
+  bool BeginVertex(VertexId u, VertexContext* ctx) {
+    ctx->value = Load(u);
+    return Rule::Productive(ctx->value);
+  }
+
+  bool ProcessEdge(const VertexContext& ctx, VertexId /*u*/, VertexId v,
+                   Weight w) {
+    return AtomicImprove(&values_[v], Rule::Candidate(ctx.value, w),
+                         [](Value a, Value b) { return Rule::Improves(a, b); });
+  }
+
+  /// --- Pull-direction hooks ---
+  using PullBound = Value;
+  /// The bound every value improves on: the top of the range when smaller
+  /// is better, 0 when larger is.
+  static PullBound WorstBound() {
+    constexpr Value kMax = std::numeric_limits<Value>::max();
+    return Rule::Improves(0, kMax) ? kMax : 0;
+  }
+  static PullBound BetterBound(PullBound a, PullBound b) {
+    return Rule::Improves(b, a) ? b : a;
+  }
+  /// Best offer u can make to any out-neighbour (see the rule comment).
+  PullBound PullPotential(VertexId u) const {
+    const Value x = Load(u);
+    if (!Rule::Productive(x)) return WorstBound();
+    if constexpr (requires(const Rule& r) { r.PullPotential(u, x); }) {
+      return rule_.PullPotential(u, x);
+    } else {
+      constexpr Weight kMaxWeight = std::numeric_limits<Weight>::max();
+      return BetterBound(Rule::Candidate(x, 0), Rule::Candidate(x, kMaxWeight));
+    }
+  }
+  bool SettledAt(VertexId v, PullBound bound) const {
+    return !Rule::Improves(bound, Load(v));
+  }
+
+  std::vector<Value> Values() const {
+    std::vector<Value> out(values_.size());
+    for (size_t i = 0; i < values_.size(); ++i) out[i] = Load(i);
+    return out;
+  }
+
+ private:
+  static Rule MakeRule(const GraphView& view) {
+    if constexpr (std::is_constructible_v<Rule, const GraphView&>) {
+      return Rule(view);
+    } else {
+      return Rule();
+    }
+  }
+
+  void StoreIdentities() {
+    for (size_t v = 0; v < values_.size(); ++v) {
+      values_[v].store(Rule::Identity(static_cast<VertexId>(v)),
+                       std::memory_order_relaxed);
+    }
+  }
+
+  Value Load(size_t v) const {
+    return values_[v].load(std::memory_order_relaxed);
+  }
+
+  Rule rule_;
+  VertexId source_ = kInvalidVertex;
+  std::vector<std::atomic<Value>> values_;
+};
+
+/// Breadth-First Search: level of every vertex from a source.
+struct BfsRule {
+  static constexpr const char* kName = "BFS";
+  static constexpr bool kNeedsWeights = false;
   // A vertex that reaches its floor (level+1 of the frontier) is settled
   // for good, so successive pull gathers shrink geometrically — the
   // solver's measured-cost feedback would mispredict them; pure Beamer
   // thresholds steer better.
   static constexpr bool kPullCandidatesLinger = false;
-  static constexpr const char* kName = "BFS";
-
-  BfsProgram(const GraphView& view, VertexId source)
-      : source_(source), levels_(view.num_vertices()) {
-    for (auto& level : levels_) {
-      level.store(kUnreachable, std::memory_order_relaxed);
-    }
-    levels_[source_].store(0, std::memory_order_relaxed);
-  }
-
-  BfsProgram(const CsrGraph& graph, VertexId source)
-      : BfsProgram(GraphView::Wrap(graph), source) {}
-
-  void InitFrontier(Frontier* frontier) { frontier->Activate(source_); }
-
-  struct VertexContext {
-    uint32_t level;
-  };
-
-  bool BeginVertex(VertexId u, VertexContext* ctx) {
-    ctx->level = levels_[u].load(std::memory_order_relaxed);
-    return ctx->level != kUnreachable;
-  }
-
-  bool ProcessEdge(const VertexContext& ctx, VertexId /*u*/, VertexId v,
-                   Weight /*w*/) {
-    return AtomicMin(&levels_[v], ctx.level + 1);
-  }
-
-  /// --- Pull-direction hooks ---
-  using PullBound = uint32_t;
-  static PullBound WorstBound() { return kUnreachable; }
-  static PullBound BetterBound(PullBound a, PullBound b) {
-    return std::min(a, b);
-  }
-  /// Best level u could assign to an out-neighbour: level(u) + 1.
-  PullBound PullPotential(VertexId u) const {
-    const uint32_t level = levels_[u].load(std::memory_order_relaxed);
-    return level == kUnreachable ? kUnreachable : level + 1;
-  }
-  bool SettledAt(VertexId v, PullBound bound) const {
-    return levels_[v].load(std::memory_order_relaxed) <= bound;
-  }
-
-  /// Snapshot of the level array.
-  std::vector<uint32_t> Values() const {
-    std::vector<uint32_t> out(levels_.size());
-    for (size_t i = 0; i < levels_.size(); ++i) {
-      out[i] = levels_[i].load(std::memory_order_relaxed);
-    }
-    return out;
-  }
-
- private:
-  VertexId source_;
-  std::vector<std::atomic<uint32_t>> levels_;
+  static constexpr bool kSourceSeeded = true;
+  static constexpr uint32_t kSourceValue = 0;
+  static uint32_t Identity(VertexId /*v*/) { return kUnreachable; }
+  static bool Productive(uint32_t level) { return level != kUnreachable; }
+  static uint32_t Candidate(uint32_t level, Weight /*w*/) { return level + 1; }
+  static constexpr bool Improves(uint32_t a, uint32_t b) { return a < b; }
 };
+using BfsProgram = SelectionProgram<BfsRule>;
 
 /// Single-Source Shortest Paths over non-negative integer weights.
-class SsspProgram {
+class SsspRule {
  public:
-  using Value = uint32_t;
+  static constexpr const char* kName = "SSSP";
   static constexpr bool kNeedsWeights = true;
-  static constexpr bool kHasDelta = false;
   // The settled floor moves every iteration, so unsettled candidates are
   // rescanned until their distance stops improving — gather cost stays
   // near the last measured one, making the solver's feedback term an
   // accurate predictor (without it, auto mode lingers in pull on
   // shrinking frontiers and loses to push).
   static constexpr bool kPullCandidatesLinger = true;
-  static constexpr const char* kName = "SSSP";
+  static constexpr bool kSourceSeeded = true;
+  static constexpr uint32_t kSourceValue = 0;
+  static uint32_t Identity(VertexId /*v*/) { return kUnreachable; }
+  static bool Productive(uint32_t dist) { return dist != kUnreachable; }
+  /// The plain uint32_t add: it wraps like the GPU kernels' does.
+  static uint32_t Candidate(uint32_t dist, Weight w) { return dist + w; }
+  static constexpr bool Improves(uint32_t a, uint32_t b) { return a < b; }
 
-  SsspProgram(const GraphView& view, VertexId source)
-      : source_(source), view_(view), dists_(view.num_vertices()) {
-    for (auto& dist : dists_) {
-      dist.store(kUnreachable, std::memory_order_relaxed);
-    }
-    dists_[source_].store(0, std::memory_order_relaxed);
-  }
+  explicit SsspRule(const GraphView& view) : view_(view) {}
 
-  SsspProgram(const CsrGraph& graph, VertexId source)
-      : SsspProgram(GraphView::Wrap(graph), source) {}
-
-  void InitFrontier(Frontier* frontier) { frontier->Activate(source_); }
-
-  struct VertexContext {
-    uint32_t dist;
-  };
-
-  bool BeginVertex(VertexId u, VertexContext* ctx) {
-    ctx->dist = dists_[u].load(std::memory_order_relaxed);
-    return ctx->dist != kUnreachable;
-  }
-
-  bool ProcessEdge(const VertexContext& ctx, VertexId /*u*/, VertexId v,
-                   Weight w) {
-    return AtomicMin(&dists_[v], ctx.dist + w);
-  }
-
-  /// --- Pull-direction hooks ---
-  using PullBound = uint32_t;
-  static PullBound WorstBound() { return kUnreachable; }
-  static PullBound BetterBound(PullBound a, PullBound b) {
-    return std::min(a, b);
-  }
-  /// Best offer u can make to any out-neighbour: dist(u) + min_out_w(u).
-  /// Every actual offer is dist(u) + w with w >= min_out_w(u), so the floor
-  /// stays sound for any non-negative weighting while settling far more
-  /// candidates than the plain dist(u) bound (which degrades toward "nobody
-  /// settles" as weights grow — the weighted-SSSP analogue of BFS's
-  /// level+1). The per-vertex minima are built lazily on the first pull
-  /// iteration — an O(E) scan paid once per query, and only by queries
-  /// that actually pull.
-  PullBound PullPotential(VertexId u) const {
-    const uint32_t dist = dists_[u].load(std::memory_order_relaxed);
-    if (dist == kUnreachable) return kUnreachable;
+  /// Best offer u can make to any out-neighbour: dist(u) + min_out_w(u),
+  /// saturating at kUnreachable. Every actual offer is dist(u) + w with
+  /// w >= min_out_w(u), so the floor stays sound for any non-negative
+  /// weighting while settling far more candidates than the plain dist(u)
+  /// bound (which degrades toward "nobody settles" as weights grow — the
+  /// weighted-SSSP analogue of BFS's level+1). The per-vertex minima are
+  /// built lazily on the first pull iteration — an O(E) scan paid once per
+  /// query, and only by queries that actually pull.
+  uint32_t PullPotential(VertexId u, uint32_t dist) const {
     std::call_once(min_out_once_, [this] { BuildMinOutWeights(); });
     const uint32_t min_w = min_out_w_[u];
     if (min_w == kUnreachable) return kUnreachable;  // no out-edges: no offer
@@ -185,21 +269,10 @@ class SsspProgram {
     return offer >= kUnreachable ? kUnreachable
                                  : static_cast<uint32_t>(offer);
   }
-  bool SettledAt(VertexId v, PullBound bound) const {
-    return dists_[v].load(std::memory_order_relaxed) <= bound;
-  }
-
-  std::vector<uint32_t> Values() const {
-    std::vector<uint32_t> out(dists_.size());
-    for (size_t i = 0; i < dists_.size(); ++i) {
-      out[i] = dists_[i].load(std::memory_order_relaxed);
-    }
-    return out;
-  }
 
  private:
   void BuildMinOutWeights() const {
-    min_out_w_.assign(dists_.size(), kUnreachable);
+    min_out_w_.assign(view_.num_vertices(), kUnreachable);
     ThreadPool::Default()->ParallelFor(
         min_out_w_.size(),
         [&](int /*shard*/, uint64_t begin, uint64_t end) {
@@ -215,82 +288,53 @@ class SsspProgram {
         /*min_grain=*/256);
   }
 
-  VertexId source_;
   const GraphView view_;
-  std::vector<std::atomic<uint32_t>> dists_;
   mutable std::once_flag min_out_once_;
   mutable std::vector<uint32_t> min_out_w_;
 };
+using SsspProgram = SelectionProgram<SsspRule>;
 
 /// Connected Components by min-label propagation along out-edges. For
 /// undirected (symmetrized) graphs this yields connected components; for
 /// directed inputs it is the standard GPU-framework label propagation the
 /// paper's CC numbers measure.
-class CcProgram {
- public:
-  using Value = uint32_t;
+struct CcRule {
+  static constexpr const char* kName = "CC";
   static constexpr bool kNeedsWeights = false;
-  static constexpr bool kHasDelta = false;
   // Labels settle permanently like BFS levels: gathers collapse after the
   // first pull iteration, so the measured-cost feedback stays off.
   static constexpr bool kPullCandidatesLinger = false;
-  static constexpr const char* kName = "CC";
-
-  explicit CcProgram(const GraphView& view) : labels_(view.num_vertices()) {
-    for (size_t v = 0; v < labels_.size(); ++v) {
-      labels_[v].store(static_cast<uint32_t>(v), std::memory_order_relaxed);
-    }
-  }
-
-  explicit CcProgram(const CsrGraph& graph)
-      : CcProgram(GraphView::Wrap(graph)) {}
-
-  void InitFrontier(Frontier* frontier) {
-    for (VertexId v = 0; v < static_cast<VertexId>(labels_.size()); ++v) {
-      frontier->Activate(v);
-    }
-  }
-
-  struct VertexContext {
-    uint32_t label;
-  };
-
-  bool BeginVertex(VertexId u, VertexContext* ctx) {
-    ctx->label = labels_[u].load(std::memory_order_relaxed);
-    return true;
-  }
-
-  bool ProcessEdge(const VertexContext& ctx, VertexId /*u*/, VertexId v,
-                   Weight /*w*/) {
-    return AtomicMin(&labels_[v], ctx.label);
-  }
-
-  /// --- Pull-direction hooks ---
-  using PullBound = uint32_t;
-  static PullBound WorstBound() {
-    return std::numeric_limits<uint32_t>::max();
-  }
-  static PullBound BetterBound(PullBound a, PullBound b) {
-    return std::min(a, b);
-  }
-  PullBound PullPotential(VertexId u) const {
-    return labels_[u].load(std::memory_order_relaxed);
-  }
-  bool SettledAt(VertexId v, PullBound bound) const {
-    return labels_[v].load(std::memory_order_relaxed) <= bound;
-  }
-
-  std::vector<uint32_t> Values() const {
-    std::vector<uint32_t> out(labels_.size());
-    for (size_t i = 0; i < labels_.size(); ++i) {
-      out[i] = labels_[i].load(std::memory_order_relaxed);
-    }
-    return out;
-  }
-
- private:
-  std::vector<std::atomic<uint32_t>> labels_;
+  static constexpr bool kSourceSeeded = false;
+  /// The own label, which is itself productive: every vertex starts active.
+  static uint32_t Identity(VertexId v) { return v; }
+  static bool Productive(uint32_t /*label*/) { return true; }
+  static uint32_t Candidate(uint32_t label, Weight /*w*/) { return label; }
+  static constexpr bool Improves(uint32_t a, uint32_t b) { return a < b; }
 };
+using CcProgram = SelectionProgram<CcRule>;
+
+/// Single-Source Widest Path (a.k.a. maximum-capacity path): the value of v
+/// is the largest bottleneck capacity over all paths source -> v, i.e. a
+/// max-min semiring. The value-selection member with the *opposite*
+/// monotonicity of SSSP/BFS — values only grow — exercising the engines
+/// under an atomic-max program.
+struct SswpRule {
+  static constexpr const char* kName = "SSWP";
+  static constexpr bool kNeedsWeights = true;
+  // Same slow-settling structure as SSSP (the width floor keeps moving),
+  // so the measured-cost feedback applies.
+  static constexpr bool kPullCandidatesLinger = true;
+  static constexpr bool kSourceSeeded = true;
+  static constexpr uint32_t kSourceValue =
+      std::numeric_limits<uint32_t>::max();
+  static uint32_t Identity(VertexId /*v*/) { return 0; }
+  static bool Productive(uint32_t width) { return width != 0; }
+  static uint32_t Candidate(uint32_t width, Weight w) {
+    return std::min(width, static_cast<uint32_t>(w));
+  }
+  static constexpr bool Improves(uint32_t a, uint32_t b) { return a > b; }
+};
+using SswpProgram = SelectionProgram<SswpRule>;
 
 struct PageRankOptions {
   double damping = 0.85;
@@ -515,85 +559,6 @@ class PhpProgram {
   std::vector<double> values_;
   std::vector<double> deltas_;
   std::vector<double> weight_sums_;
-};
-
-/// Single-Source Widest Path (a.k.a. maximum-capacity path): the value of v
-/// is the largest bottleneck capacity over all paths source -> v, i.e. a
-/// max-min semiring. A third member of the value-selection family with the
-/// *opposite* monotonicity of SSSP/BFS — values only grow — exercising the
-/// engines under an atomic-max program.
-class SswpProgram {
- public:
-  using Value = uint32_t;
-  static constexpr bool kNeedsWeights = true;
-  static constexpr bool kHasDelta = false;
-  // Same slow-settling structure as SSSP (the width floor keeps moving),
-  // so the measured-cost feedback applies.
-  static constexpr bool kPullCandidatesLinger = true;
-  static constexpr const char* kName = "SSWP";
-
-  SswpProgram(const GraphView& view, VertexId source)
-      : source_(source), widths_(view.num_vertices()) {
-    for (auto& width : widths_) {
-      width.store(0, std::memory_order_relaxed);
-    }
-    widths_[source_].store(std::numeric_limits<uint32_t>::max(),
-                           std::memory_order_relaxed);
-  }
-
-  SswpProgram(const CsrGraph& graph, VertexId source)
-      : SswpProgram(GraphView::Wrap(graph), source) {}
-
-  void InitFrontier(Frontier* frontier) { frontier->Activate(source_); }
-
-  struct VertexContext {
-    uint32_t width;
-  };
-
-  bool BeginVertex(VertexId u, VertexContext* ctx) {
-    ctx->width = widths_[u].load(std::memory_order_relaxed);
-    return ctx->width != 0;
-  }
-
-  bool ProcessEdge(const VertexContext& ctx, VertexId /*u*/, VertexId v,
-                   Weight w) {
-    const uint32_t candidate = std::min(ctx.width, static_cast<uint32_t>(w));
-    // Atomic max via CAS loop (mirror of AtomicMin).
-    uint32_t current = widths_[v].load(std::memory_order_relaxed);
-    while (candidate > current) {
-      if (widths_[v].compare_exchange_weak(current, candidate,
-                                           std::memory_order_relaxed)) {
-        return true;
-      }
-    }
-    return false;
-  }
-
-  /// --- Pull-direction hooks (max-min: wider is better) ---
-  using PullBound = uint32_t;
-  static PullBound WorstBound() { return 0; }
-  static PullBound BetterBound(PullBound a, PullBound b) {
-    return std::max(a, b);
-  }
-  /// width(u) is an upper bound on every offer min(width(u), w).
-  PullBound PullPotential(VertexId u) const {
-    return widths_[u].load(std::memory_order_relaxed);
-  }
-  bool SettledAt(VertexId v, PullBound bound) const {
-    return widths_[v].load(std::memory_order_relaxed) >= bound;
-  }
-
-  std::vector<uint32_t> Values() const {
-    std::vector<uint32_t> out(widths_.size());
-    for (size_t i = 0; i < widths_.size(); ++i) {
-      out[i] = widths_[i].load(std::memory_order_relaxed);
-    }
-    return out;
-  }
-
- private:
-  VertexId source_;
-  std::vector<std::atomic<uint32_t>> widths_;
 };
 
 }  // namespace hytgraph

@@ -1,60 +1,58 @@
 #include "algorithms/registry.h"
 
 #include <cctype>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "algorithms/runner.h"
+#include "core/solver.h"
 #include "util/logging.h"
 
 namespace hytgraph {
 
 namespace {
 
-/// Adapts a typed AlgorithmOutput<V> into the type-erased AlgorithmRun.
-template <typename V>
-Result<AlgorithmRun> Erase(Result<AlgorithmOutput<V>> output) {
-  if (!output.ok()) return output.status();
-  AlgorithmRun run;
-  run.values = std::move(output->values);
-  run.trace = std::move(output->trace);
-  return run;
+/// Builds the program `Program` runs for a registry query on `prepared`,
+/// with the source in solver ids.
+template <typename Program>
+Program MakeProgram(const PreparedGraph& prepared, VertexId source,
+                    const AlgoParams& params) {
+  const GraphView& view = prepared.view();
+  if constexpr (std::is_same_v<Program, PageRankProgram>) {
+    return PageRankProgram(view, params.pagerank);
+  } else if constexpr (std::is_same_v<Program, PhpProgram>) {
+    return PhpProgram(view, prepared.MapSource(source), params.php);
+  } else if constexpr (std::is_constructible_v<Program, const GraphView&,
+                                               VertexId>) {
+    return Program(view, prepared.MapSource(source));
+  } else {
+    return Program(view);
+  }
 }
 
-Result<AlgorithmRun> RunPr(const PreparedGraph& prepared, VertexId /*source*/,
-                           const AlgoParams& params,
-                           const SolverOptions& options) {
-  return Erase(RunPageRankOn(prepared, options, params.pagerank.damping,
-                             params.pagerank.epsilon));
-}
-
-Result<AlgorithmRun> RunSsspEntry(const PreparedGraph& prepared,
-                                  VertexId source, const AlgoParams&,
-                                  const SolverOptions& options) {
-  return Erase(RunSsspOn(prepared, source, options));
-}
-
-Result<AlgorithmRun> RunCcEntry(const PreparedGraph& prepared,
-                                VertexId /*source*/, const AlgoParams&,
-                                const SolverOptions& options) {
-  return Erase(RunCcOn(prepared, options));
-}
-
-Result<AlgorithmRun> RunBfsEntry(const PreparedGraph& prepared,
-                                 VertexId source, const AlgoParams&,
-                                 const SolverOptions& options) {
-  return Erase(RunBfsOn(prepared, source, options));
-}
-
-Result<AlgorithmRun> RunPhpEntry(const PreparedGraph& prepared,
-                                 VertexId source, const AlgoParams& params,
-                                 const SolverOptions& options) {
-  return Erase(RunPhpOn(prepared, source, options, params.php.damping,
-                        params.php.epsilon));
-}
-
-Result<AlgorithmRun> RunSswpEntry(const PreparedGraph& prepared,
-                                  VertexId source, const AlgoParams&,
-                                  const SolverOptions& options) {
-  return Erase(RunSswpOn(prepared, source, options));
+/// The run skeleton every registry entry instantiates: build the solver,
+/// init, run the program, map values back to original ids.
+template <typename Program>
+Result<AlgorithmRun> RunWith(const PreparedGraph& prepared, VertexId source,
+                             const AlgoParams& params,
+                             const SolverOptions& options) {
+  Solver<Program> solver(prepared.view(), options);
+  HYT_RETURN_NOT_OK(solver.Init());
+  Program program = MakeProgram<Program>(prepared, source, params);
+  HYT_ASSIGN_OR_RETURN(RunTrace trace, solver.Run(&program));
+  std::vector<typename Program::Value> values =
+      prepared.MapValuesBack(program.Values());
+  if constexpr (std::is_same_v<Program, CcProgram>) {
+    // CC labels are vertex ids: translate them back to original ids so they
+    // are meaningful to the caller. (Min-label fixpoints depend on the id
+    // order on *directed* graphs, which is why EffectiveOptions skips the
+    // reordering for CC.)
+    if (prepared.reordered()) {
+      for (uint32_t& label : values) label = prepared.MapVertexBack(label);
+    }
+  }
+  return AlgorithmRun{std::move(values), std::move(trace)};
 }
 
 constexpr const char* kPrAliases[] = {"pr", "pagerank"};
@@ -67,22 +65,22 @@ constexpr const char* kSswpAliases[] = {"sswp", "widest-path"};
 constexpr AlgorithmInfo kRegistry[] = {
     {AlgorithmId::kPageRank, "PR", "PageRank", kPrAliases,
      /*needs_source=*/false, /*needs_weights=*/false, /*value_is_f64=*/true,
-     &RunPr},
+     &RunWith<PageRankProgram>},
     {AlgorithmId::kSssp, "SSSP", "Single-Source Shortest Paths",
      kSsspAliases, /*needs_source=*/true, /*needs_weights=*/true,
-     /*value_is_f64=*/false, &RunSsspEntry},
+     /*value_is_f64=*/false, &RunWith<SsspProgram>},
     {AlgorithmId::kCc, "CC", "Connected Components", kCcAliases,
      /*needs_source=*/false, /*needs_weights=*/false, /*value_is_f64=*/false,
-     &RunCcEntry},
+     &RunWith<CcProgram>},
     {AlgorithmId::kBfs, "BFS", "Breadth-First Search", kBfsAliases,
      /*needs_source=*/true, /*needs_weights=*/false, /*value_is_f64=*/false,
-     &RunBfsEntry},
+     &RunWith<BfsProgram>},
     {AlgorithmId::kPhp, "PHP", "Penalized Hitting Probability", kPhpAliases,
      /*needs_source=*/true, /*needs_weights=*/true, /*value_is_f64=*/true,
-     &RunPhpEntry},
+     &RunWith<PhpProgram>},
     {AlgorithmId::kSswp, "SSWP", "Single-Source Widest Path", kSswpAliases,
      /*needs_source=*/true, /*needs_weights=*/true, /*value_is_f64=*/false,
-     &RunSswpEntry},
+     &RunWith<SswpProgram>},
 };
 
 std::string ToLower(const std::string& s) {

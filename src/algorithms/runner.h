@@ -1,21 +1,18 @@
-// Hub-sort-aware execution plumbing: PreparedGraph (a graph preprocessed
-// for one options set) and per-algorithm runners over it.
+// Hub-sort-aware execution plumbing: PreparedGraph, a graph preprocessed
+// for one options set.
 //
 // NOTE: the public facade of this library is `hytgraph::Engine`
 // (core/engine.h). The Engine owns the graph, memoizes PreparedGraph
 // instances across queries (so repeated queries never re-run the hub sort),
 // dispatches through the algorithm registry (algorithms/registry.h), and
-// batches multi-source query sets on the thread pool. The Run*On overloads
-// below operate on an explicit PreparedGraph and back the registry's run
-// hooks; construct an Engine and submit Query objects instead of calling
-// them directly. (The old one-shot free functions RunBfs/RunSssp/... that
-// re-prepared the graph on every call were removed after all callers
-// migrated to the Engine.)
+// batches multi-source query sets on the thread pool. RunAlgorithmOn
+// (registry.h) runs one algorithm on an explicit PreparedGraph; construct
+// an Engine and submit Query objects instead of calling it directly.
 //
 // HyTGraph with contribution-driven scheduling requires the hub-sorted
-// vertex order (Section VI-A); these runners apply the reordering, remap the
-// source, run the solver, and map values back — callers never see relabeled
-// ids.
+// vertex order (Section VI-A); the registry's run skeleton applies the
+// reordering, remaps the source, runs the solver, and maps values back —
+// callers never see relabeled ids.
 
 #ifndef HYTGRAPH_ALGORITHMS_RUNNER_H_
 #define HYTGRAPH_ALGORITHMS_RUNNER_H_
@@ -97,37 +94,6 @@ class PreparedGraph {
   std::vector<VertexId> old_to_new_;
   std::vector<VertexId> new_to_old_;
 };
-
-template <typename V>
-struct AlgorithmOutput {
-  std::vector<V> values;  // indexed by original vertex id
-  RunTrace trace;
-};
-
-/// Overloads on an existing PreparedGraph (no re-sorting). The prepared
-/// graph must have been built with compatible options. These back the
-/// algorithm registry's run hooks; call them through Engine/RunAlgorithmOn
-/// rather than directly.
-Result<AlgorithmOutput<uint32_t>> RunBfsOn(const PreparedGraph& prepared,
-                                           VertexId source,
-                                           const SolverOptions& options);
-Result<AlgorithmOutput<uint32_t>> RunSsspOn(const PreparedGraph& prepared,
-                                            VertexId source,
-                                            const SolverOptions& options);
-Result<AlgorithmOutput<uint32_t>> RunCcOn(const PreparedGraph& prepared,
-                                          const SolverOptions& options);
-Result<AlgorithmOutput<double>> RunPageRankOn(const PreparedGraph& prepared,
-                                              const SolverOptions& options,
-                                              double damping = 0.85,
-                                              double epsilon = 1e-6);
-Result<AlgorithmOutput<double>> RunPhpOn(const PreparedGraph& prepared,
-                                         VertexId source,
-                                         const SolverOptions& options,
-                                         double damping = 0.8,
-                                         double epsilon = 1e-6);
-Result<AlgorithmOutput<uint32_t>> RunSswpOn(const PreparedGraph& prepared,
-                                            VertexId source,
-                                            const SolverOptions& options);
 
 /// Runs `algorithm` (source used by the source-seeded algorithms) and
 /// returns just the trace — the shape benches need. Dispatches through the

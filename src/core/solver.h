@@ -41,18 +41,7 @@
 // that landed in its loaded subgraph. Their values and traces are
 // therefore bitwise reproducible at a fixed pool size.
 //
-// Program concept (per-edge hooks: see engine/kernels.h):
-//   struct Program {
-//     using Value = ...;
-//     static constexpr bool kNeedsWeights;  // SSSP/PHP: true
-//     static constexpr bool kHasDelta;      // PR/PHP: true
-//     void InitFrontier(Frontier* frontier);
-//     struct VertexContext {...};
-//     bool BeginVertex(VertexId u, VertexContext* ctx);
-//     bool ProcessEdge(...);                // only if !kHasDelta
-//     double Share(...); bool Apply(...);   // only if kHasDelta
-//     double DeltaOf(VertexId v) const;     // only if kHasDelta
-//   };
+// The program concept the loop runs is documented in algorithms/programs.h.
 
 #ifndef HYTGRAPH_CORE_SOLVER_H_
 #define HYTGRAPH_CORE_SOLVER_H_

@@ -1,7 +1,6 @@
 #include "dynamic/incremental.h"
 
 #include <algorithm>
-#include <limits>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -14,59 +13,13 @@ namespace hytgraph {
 
 namespace {
 
-constexpr uint32_t kUnreachableValue = std::numeric_limits<uint32_t>::max();
-
-/// Per-algorithm relaxation semantics, mirroring the vertex programs in
-/// algorithms/programs.h (including SSSP's wrapping uint32 add, so the
-/// incremental fixpoint is bitwise identical to the solver's).
-struct MinFamily {
-  // BFS / SSSP / CC: smaller is better, kUnreachable (or the own label for
-  // CC) means "nothing to push" only for the source-seeded pair.
-  static bool Improves(uint32_t candidate, uint32_t current) {
-    return candidate < current;
-  }
-};
-
-struct BfsRelax : MinFamily {
-  static bool Productive(uint32_t value) { return value != kUnreachableValue; }
-  static uint32_t Candidate(uint32_t value, Weight /*w*/) { return value + 1; }
-  static uint32_t ResetValue(VertexId /*v*/) { return kUnreachableValue; }
-  static constexpr bool kSeedConeMembers = false;
-};
-
-struct SsspRelax : MinFamily {
-  static bool Productive(uint32_t value) { return value != kUnreachableValue; }
-  static uint32_t Candidate(uint32_t value, Weight w) { return value + w; }
-  static uint32_t ResetValue(VertexId /*v*/) { return kUnreachableValue; }
-  static constexpr bool kSeedConeMembers = false;
-};
-
-struct CcRelax : MinFamily {
-  static bool Productive(uint32_t /*value*/) { return true; }
-  static uint32_t Candidate(uint32_t value, Weight /*w*/) { return value; }
-  /// CC's identity is the own label — which is itself productive, so cone
-  /// members must re-seed the frontier to push their reset labels out.
-  static uint32_t ResetValue(VertexId v) { return v; }
-  static constexpr bool kSeedConeMembers = true;
-};
-
-struct SswpRelax {
-  static bool Productive(uint32_t value) { return value != 0; }
-  static uint32_t Candidate(uint32_t value, Weight w) {
-    return std::min(value, static_cast<uint32_t>(w));
-  }
-  static bool Improves(uint32_t candidate, uint32_t current) {
-    return candidate > current;
-  }
-  static uint32_t ResetValue(VertexId /*v*/) { return 0; }
-  static constexpr bool kSeedConeMembers = false;
-};
-
-/// Chaotic relaxation from `seeds`. When `parents` is non-null, every
+/// Chaotic relaxation from `seeds` under a value-selection rule
+/// (algorithms/programs.h), the solver's own, so the incremental fixpoint is
+/// bitwise identical to a full run. When `parents` is non-null, every
 /// improvement records its deriver, keeping the dependency forest
 /// consistent with the advanced values (chains stay acyclic: a parent
 /// reached its final value strictly before the child it improves).
-template <typename Relax>
+template <typename Rule>
 IncrementalStats Propagate(const GraphView& graph,
                            std::span<const VertexId> seeds,
                            std::vector<uint32_t>* values,
@@ -92,11 +45,11 @@ IncrementalStats Propagate(const GraphView& graph,
       queued[u] = 0;
       ++stats.relaxed_vertices;
       const uint32_t value = vals[u];
-      if (!Relax::Productive(value)) continue;
+      if (!Rule::Productive(value)) continue;
       graph.ForEachNeighbor(u, [&](VertexId v, Weight w) {
         ++stats.traversed_edges;
-        const uint32_t candidate = Relax::Candidate(value, w);
-        if (Relax::Improves(candidate, vals[v])) {
+        const uint32_t candidate = Rule::Candidate(value, w);
+        if (Rule::Improves(candidate, vals[v])) {
           vals[v] = candidate;
           if (parents != nullptr) (*parents)[v] = u;
           ++stats.improved_vertices;
@@ -113,7 +66,7 @@ IncrementalStats Propagate(const GraphView& graph,
   return stats;
 }
 
-/// Deletion-cone recompute for one Relax, driven by the dependency
+/// Deletion-cone recompute for one rule, driven by the dependency
 /// forest. Phases over the ORIGINAL values (nothing is reset until the
 /// cone is fully discovered):
 ///   1. cone discovery. Tree path, when the caller hands in a forest
@@ -146,9 +99,8 @@ IncrementalStats Propagate(const GraphView& graph,
 /// achievable previous value is still optimal; insert-driven improvements
 /// are applied by phase 3's insert-source seeds, for cone and non-cone
 /// vertices alike.
-template <typename Relax>
-IncrementalStats ConeRecompute(const GraphView& graph, bool has_source,
-                               VertexId source,
+template <typename Rule>
+IncrementalStats ConeRecompute(const GraphView& graph, VertexId source,
                                std::span<const EdgeRecord> inserts,
                                std::span<const EdgeRecord> deletes,
                                std::vector<uint32_t>* values,
@@ -164,7 +116,7 @@ IncrementalStats ConeRecompute(const GraphView& graph, bool has_source,
     auto join = [&](VertexId v) {
       // The source's value is axiomatic (never derived from an edge), so
       // it never joins the cone; its parent slot is always invalid.
-      if (in_cone[v] || (has_source && v == source)) return;
+      if (in_cone[v] || (Rule::kSourceSeeded && v == source)) return;
       in_cone[v] = 1;
       cone.push_back(v);
     };
@@ -184,7 +136,8 @@ IncrementalStats ConeRecompute(const GraphView& graph, bool has_source,
     std::vector<uint8_t> certified(n, 0);
     std::vector<VertexId> queue;
     for (VertexId v = 0; v < n; ++v) {
-      if ((has_source && v == source) || vals[v] == Relax::ResetValue(v)) {
+      if ((Rule::kSourceSeeded && v == source) ||
+          vals[v] == Rule::Identity(v)) {
         certified[v] = 1;
         queue.push_back(v);
       }
@@ -192,10 +145,10 @@ IncrementalStats ConeRecompute(const GraphView& graph, bool has_source,
     for (size_t i = 0; i < queue.size(); ++i) {
       const VertexId x = queue[i];
       const uint32_t value = vals[x];
-      if (!Relax::Productive(value)) continue;
+      if (!Rule::Productive(value)) continue;
       graph.ForEachNeighbor(x, [&](VertexId z, Weight w) {
         ++stats.traversed_edges;
-        if (!certified[z] && vals[z] == Relax::Candidate(value, w)) {
+        if (!certified[z] && vals[z] == Rule::Candidate(value, w)) {
           certified[z] = 1;
           tree[z] = x;
           queue.push_back(z);
@@ -212,7 +165,7 @@ IncrementalStats ConeRecompute(const GraphView& graph, bool has_source,
   stats.cone_vertices = cone.size();
 
   for (VertexId x : cone) {
-    vals[x] = Relax::ResetValue(x);
+    vals[x] = Rule::Identity(x);
     tree[x] = kInvalidVertex;
   }
 
@@ -221,16 +174,17 @@ IncrementalStats ConeRecompute(const GraphView& graph, bool has_source,
   for (VertexId x : cone) {
     graph.ForEachInNeighbor(x, [&](VertexId p, Weight /*w*/) {
       ++stats.traversed_edges;
-      if (!in_cone[p] && Relax::Productive(vals[p])) seeds.push_back(p);
+      if (!in_cone[p] && Rule::Productive(vals[p])) seeds.push_back(p);
     });
-    if (Relax::kSeedConeMembers) seeds.push_back(x);
+    // A productive identity (CC's own label) must be pushed out again.
+    if (Rule::Productive(Rule::Identity(x))) seeds.push_back(x);
   }
   for (const EdgeRecord& e : inserts) seeds.push_back(e.src);
 
   const uint64_t closure_edges = stats.traversed_edges;
   const uint64_t cone_size = stats.cone_vertices;
   const bool derived = stats.forest_derived;
-  stats = Propagate<Relax>(graph, seeds, values, &tree);
+  stats = Propagate<Rule>(graph, seeds, values, &tree);
   stats.traversed_edges += closure_edges;
   stats.cone_vertices = cone_size;
   stats.forest_derived = derived;
@@ -311,13 +265,13 @@ Result<IncrementalStats> IncrementalRecompute(
 
   switch (id) {
     case AlgorithmId::kBfs:
-      return Propagate<BfsRelax>(graph, seeds, values, parents);
+      return Propagate<BfsRule>(graph, seeds, values, parents);
     case AlgorithmId::kSssp:
-      return Propagate<SsspRelax>(graph, seeds, values, parents);
+      return Propagate<SsspRule>(graph, seeds, values, parents);
     case AlgorithmId::kCc:
-      return Propagate<CcRelax>(graph, seeds, values, parents);
+      return Propagate<CcRule>(graph, seeds, values, parents);
     case AlgorithmId::kSswp:
-      return Propagate<SswpRelax>(graph, seeds, values, parents);
+      return Propagate<SswpRule>(graph, seeds, values, parents);
     default:
       return Status::Internal("unhandled incremental algorithm");
   }
@@ -356,21 +310,17 @@ Result<IncrementalStats> DeletionAwareRecompute(
 
   switch (id) {
     case AlgorithmId::kBfs:
-      return ConeRecompute<BfsRelax>(graph, needs_source, source,
-                                     inserted_edges, deleted_edges, values,
-                                      parents);
+      return ConeRecompute<BfsRule>(graph, source, inserted_edges,
+                                    deleted_edges, values, parents);
     case AlgorithmId::kSssp:
-      return ConeRecompute<SsspRelax>(graph, needs_source, source,
-                                      inserted_edges, deleted_edges, values,
-                                      parents);
+      return ConeRecompute<SsspRule>(graph, source, inserted_edges,
+                                     deleted_edges, values, parents);
     case AlgorithmId::kCc:
-      return ConeRecompute<CcRelax>(graph, needs_source, source,
-                                    inserted_edges, deleted_edges, values,
-                                      parents);
+      return ConeRecompute<CcRule>(graph, source, inserted_edges,
+                                   deleted_edges, values, parents);
     case AlgorithmId::kSswp:
-      return ConeRecompute<SswpRelax>(graph, needs_source, source,
-                                      inserted_edges, deleted_edges, values,
-                                      parents);
+      return ConeRecompute<SswpRule>(graph, source, inserted_edges,
+                                     deleted_edges, values, parents);
     default:
       return Status::Internal("unhandled deletion-cone algorithm");
   }

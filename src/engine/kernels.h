@@ -11,18 +11,8 @@
 // on the fly. A query therefore never waits for a snapshot fold — the
 // per-vertex overlay lookup is the price, measured by bench_view_overhead.
 //
-// Program concept (see algorithms/programs.h for implementations):
-//   struct P {
-//     using VertexContext = ...;       // per-source state for one visit
-//     bool BeginVertex(VertexId u, VertexContext* ctx);   // false: skip u
-//     // Value-selection family (kHasDelta == false): relax in place.
-//     bool ProcessEdge(const VertexContext& ctx, VertexId u, VertexId v,
-//                      Weight w);      // true: v's value changed, activate
-//     // Accumulation family (kHasDelta == true): push shares, see ShareRows.
-//     bool BeginVertex(VertexId u, VertexContext* ctx, double own_share);
-//     double Share(const VertexContext& ctx, VertexId v, Weight w);
-//     bool Apply(VertexId v, double sum);  // true: delta reached epsilon
-//   };
+// The program concept (BeginVertex, ProcessEdge, the accumulation family's
+// Share/Apply and the pull hooks) is documented in algorithms/programs.h.
 
 #ifndef HYTGRAPH_ENGINE_KERNELS_H_
 #define HYTGRAPH_ENGINE_KERNELS_H_

@@ -5,7 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
+#include <memory>
+#include <type_traits>
+
 #include "algorithms/atomic_ops.h"
+#include "engine/kernels.h"
+#include "graph/graph_builder.h"
 #include "test_graphs.h"
 
 namespace hytgraph {
@@ -15,11 +22,19 @@ using testing::PaperFigure1Graph;
 
 TEST(AtomicOpsTest, AtomicMinOnlyDecreases) {
   std::atomic<uint32_t> value{10};
-  EXPECT_TRUE(AtomicMin(&value, 5u));
+  EXPECT_TRUE(AtomicImprove(&value, 5u, std::less<uint32_t>()));
   EXPECT_EQ(value.load(), 5u);
-  EXPECT_FALSE(AtomicMin(&value, 7u));
+  EXPECT_FALSE(AtomicImprove(&value, 7u, std::less<uint32_t>()));
   EXPECT_EQ(value.load(), 5u);
-  EXPECT_FALSE(AtomicMin(&value, 5u));
+  EXPECT_FALSE(AtomicImprove(&value, 5u, std::less<uint32_t>()));
+
+  // The same loop under the opposite comparison is an atomic max.
+  std::atomic<uint32_t> widest{10};
+  EXPECT_TRUE(AtomicImprove(&widest, 12u, std::greater<uint32_t>()));
+  EXPECT_EQ(widest.load(), 12u);
+  EXPECT_FALSE(AtomicImprove(&widest, 7u, std::greater<uint32_t>()));
+  EXPECT_EQ(widest.load(), 12u);
+  EXPECT_FALSE(AtomicImprove(&widest, 12u, std::greater<uint32_t>()));
 }
 
 TEST(BfsProgramTest, InitialState) {
@@ -38,7 +53,7 @@ TEST(BfsProgramTest, BeginVertexSkipsUnreached) {
   BfsProgram program(g, 0);
   BfsProgram::VertexContext ctx;
   EXPECT_TRUE(program.BeginVertex(0, &ctx));
-  EXPECT_EQ(ctx.level, 0u);
+  EXPECT_EQ(ctx.value, 0u);
   EXPECT_FALSE(program.BeginVertex(3, &ctx));
 }
 
@@ -78,11 +93,98 @@ TEST(CcProgramTest, LabelsOnlyDecrease) {
   CcProgram program(g);
   CcProgram::VertexContext ctx;
   ASSERT_TRUE(program.BeginVertex(5, &ctx));
-  EXPECT_EQ(ctx.label, 5u);
+  EXPECT_EQ(ctx.value, 5u);
   EXPECT_FALSE(program.ProcessEdge(ctx, 5, 0, 1));  // 5 > 0: no change
   CcProgram::VertexContext ctx0{0};
   EXPECT_TRUE(program.ProcessEdge(ctx0, 0, 5, 1));
   EXPECT_EQ(program.Values()[5], 0u);
+}
+
+template <typename Rule>
+std::unique_ptr<SelectionProgram<Rule>> MakeSelectionProgram(
+    const GraphView& view, VertexId source) {
+  if constexpr (Rule::kSourceSeeded) {
+    return std::make_unique<SelectionProgram<Rule>>(view, source);
+  } else {
+    return std::make_unique<SelectionProgram<Rule>>(view);
+  }
+}
+
+// The pull hooks SelectionProgram derives from each rule, checked against
+// the rule's own Candidate and Improves at every push iteration of a run:
+// a potential bounds every offer its vertex makes, the iteration floor
+// (BetterBound folded over the frontier's potentials) bounds every offer
+// the frontier makes, and SettledAt(v, b) holds exactly when b cannot
+// improve v's value.
+template <typename Rule>
+class SelectionPullHooksTest : public ::testing::Test {};
+using SelectionRules = ::testing::Types<BfsRule, SsspRule, CcRule, SswpRule>;
+TYPED_TEST_SUITE(SelectionPullHooksTest, SelectionRules);
+
+TYPED_TEST(SelectionPullHooksTest, HooksBoundEveryOffer) {
+  using Rule = TypeParam;
+  using Program = SelectionProgram<Rule>;
+  const CsrGraph g = testing::SmallRmat(8, 8, 21);
+  ASSERT_TRUE(g.is_weighted());
+  const GraphView view = GraphView::Wrap(g);
+  auto program = MakeSelectionProgram<Rule>(view, 1);
+  constexpr uint32_t kMax = std::numeric_limits<uint32_t>::max();
+
+  Frontier frontier(view);
+  program->InitFrontier(&frontier);
+  std::vector<VertexId> actives;
+  frontier.CollectInto(&actives);
+  int iterations = 0;
+  while (!actives.empty()) {
+    ++iterations;
+    std::vector<uint8_t> active(g.num_vertices(), 0);
+    typename Program::PullBound floor = Program::WorstBound();
+    for (VertexId u : actives) {
+      active[u] = 1;
+      floor = Program::BetterBound(floor, program->PullPotential(u));
+    }
+    const std::vector<uint32_t> values = program->Values();
+    for (VertexId u = 0; u < g.num_vertices(); ++u) {
+      const uint32_t x = values[u];
+      const uint32_t potential = program->PullPotential(u);
+      if (Rule::Productive(x)) {
+        view.ForEachNeighbor(u, [&](VertexId /*v*/, Weight w) {
+          const uint32_t offer = Rule::Candidate(x, w);
+          EXPECT_FALSE(Rule::Improves(offer, potential))
+              << "vertex " << u << " offers " << offer << " past potential "
+              << potential;
+          if (active[u]) {
+            EXPECT_FALSE(Rule::Improves(offer, floor))
+                << "vertex " << u << " offers " << offer << " past floor "
+                << floor;
+          }
+        });
+      }
+      EXPECT_TRUE(program->SettledAt(u, Program::WorstBound()));
+      for (uint32_t b : {0u, 1u, x - 1, x, x + 1, kMax, floor}) {
+        EXPECT_EQ(program->SettledAt(u, b), !Rule::Improves(b, x))
+            << "vertex " << u << " value " << x << " bound " << b;
+      }
+    }
+    frontier.Clear();
+    RunKernel(view, actives, *program, &frontier);
+    frontier.CollectInto(&actives);
+  }
+  EXPECT_GT(iterations, 1);
+
+  if constexpr (std::is_same_v<Rule, SsspRule>) {
+    // dist + min_w past the top of the range saturates at kUnreachable: a
+    // wrapped sum would be a small, far-too-good potential.
+    auto chain = BuildFromTriples(3, {{0, 1, kMax - 5}, {1, 2, 10}});
+    ASSERT_TRUE(chain.ok());
+    SsspProgram sssp(*chain, 0);
+    SsspProgram::VertexContext ctx;
+    ASSERT_TRUE(sssp.BeginVertex(0, &ctx));
+    ASSERT_TRUE(sssp.ProcessEdge(ctx, 0, 1, kMax - 5));
+    EXPECT_EQ(sssp.PullPotential(0), kMax - 5);
+    EXPECT_EQ(sssp.PullPotential(1), kUnreachable);
+    EXPECT_EQ(sssp.PullPotential(2), kUnreachable);  // unreached
+  }
 }
 
 TEST(PageRankProgramTest, InitialDeltaIsOneMinusDamping) {

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <variant>
+#include <vector>
+
 #include "algorithms/reference.h"
 #include "core/engine.h"
 #include "test_graphs.h"
@@ -83,12 +86,15 @@ TEST(RunnerTest, HubSortIsInvisibleInResults) {
   ASSERT_TRUE(hyt_prepared.ok());
   ASSERT_TRUE(emogi_prepared.ok());
   ASSERT_TRUE(hyt_prepared->reordered());
-  auto hyt = RunSsspOn(*hyt_prepared, source, hyt_opts);
-  auto emogi = RunSsspOn(*emogi_prepared, source, emogi_opts);
+  auto hyt = RunAlgorithmOn(*hyt_prepared, AlgorithmId::kSssp, source, {},
+                            hyt_opts);
+  auto emogi = RunAlgorithmOn(*emogi_prepared, AlgorithmId::kSssp, source, {},
+                              emogi_opts);
   ASSERT_TRUE(hyt.ok());
   ASSERT_TRUE(emogi.ok());
   EXPECT_EQ(hyt->values, emogi->values);
-  EXPECT_EQ(hyt->values, ReferenceSssp(g, source));
+  EXPECT_EQ(std::get<std::vector<uint32_t>>(hyt->values),
+            ReferenceSssp(g, source));
 }
 
 TEST(RunnerTest, CcReturnsNaturalIdLabels) {
@@ -130,9 +136,12 @@ TEST(RunnerTest, ErrorsPropagateThroughRunners) {
   opts.device_memory_override = 1;  // nothing fits
   auto prepared = PreparedGraph::Make(g, opts);
   ASSERT_TRUE(prepared.ok());  // preparation is host-side, it must succeed
-  EXPECT_TRUE(RunBfsOn(*prepared, 0, opts).status().IsOutOfMemory());
-  EXPECT_TRUE(RunPageRankOn(*prepared, opts).status().IsOutOfMemory());
-  EXPECT_TRUE(RunSswpOn(*prepared, 0, opts).status().IsOutOfMemory());
+  for (AlgorithmId id :
+       {AlgorithmId::kBfs, AlgorithmId::kPageRank, AlgorithmId::kSswp}) {
+    EXPECT_TRUE(RunAlgorithmOn(*prepared, id, 0, {}, opts)
+                    .status()
+                    .IsOutOfMemory());
+  }
 }
 
 TEST(RunnerTest, ReusedPreparedGraphMatchesEngineRun) {
@@ -140,12 +149,14 @@ TEST(RunnerTest, ReusedPreparedGraphMatchesEngineRun) {
   const SolverOptions opts = SolverOptions::Defaults(SystemKind::kHyTGraph);
   auto prepared = PreparedGraph::Make(g, opts);
   ASSERT_TRUE(prepared.ok());
-  auto via_prepared = RunBfsOn(*prepared, 2, opts);
+  auto via_prepared =
+      RunAlgorithmOn(*prepared, AlgorithmId::kBfs, 2, {}, opts);
   ASSERT_TRUE(via_prepared.ok());
   Engine engine(std::move(g), opts);
   auto via_engine = engine.Run({.algorithm = AlgorithmId::kBfs, .source = 2});
   ASSERT_TRUE(via_engine.ok());
-  EXPECT_EQ(via_prepared->values, via_engine->u32());
+  EXPECT_EQ(std::get<std::vector<uint32_t>>(via_prepared->values),
+            via_engine->u32());
 }
 
 }  // namespace
