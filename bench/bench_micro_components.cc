@@ -1,8 +1,8 @@
 // Component micro-benchmarks (google-benchmark): the real host-side costs
 // behind the simulator — CPU compaction throughput (formula (2)'s Thpt_cpt),
-// kernel edge-relaxation throughput, the thread pool's fork-join round
-// trip, frontier/bitmap operations, partition stats construction, and RMAT
-// generation.
+// kernel edge-relaxation throughput, the accumulation family's share fold,
+// the thread pool's fork-join round trip, frontier/bitmap operations,
+// partition stats construction, and RMAT generation.
 
 #include <benchmark/benchmark.h>
 
@@ -88,6 +88,34 @@ void BM_PageRankDenseKernel(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(edges));
 }
 BENCHMARK(BM_PageRankDenseKernel)->UseRealTime();
+
+// The barrier fold alone: the share rows a dense PageRank push left (every
+// vertex active with its initial delta), merged into a fresh program's
+// deltas and the next frontier. Items are vertices folded.
+void BM_ShareRowsFold(benchmark::State& state) {
+  const CsrGraph& graph = BenchGraph();
+  const GraphView view = GraphView::Wrap(graph);
+  const VertexId n = graph.num_vertices();
+  ShareRows filled(n);
+  {
+    PageRankProgram program(graph);
+    Frontier next(n);
+    RunKernel(graph, EveryKthVertex(graph, 1), program, &next, &filled);
+  }
+  ShareRows shares(n);
+  Frontier next(n);
+  for (auto _ : state) {
+    state.PauseTiming();
+    shares = filled;
+    next.Clear();
+    PageRankProgram program(graph);
+    state.ResumeTiming();
+    shares.Fold(view, 0, n, program, &next);
+    benchmark::DoNotOptimize(next.CountActive());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * n);
+}
+BENCHMARK(BM_ShareRowsFold)->UseRealTime();
 
 // One empty batch on the default pool with a shard per thread: the
 // fork-join cost every kernel launch pays before any edge work.

@@ -247,8 +247,13 @@ class SsspRule {
   static constexpr uint32_t kSourceValue = 0;
   static uint32_t Identity(VertexId /*v*/) { return kUnreachable; }
   static bool Productive(uint32_t dist) { return dist != kUnreachable; }
-  /// The plain uint32_t add: it wraps like the GPU kernels' does.
-  static uint32_t Candidate(uint32_t dist, Weight w) { return dist + w; }
+  /// dist + w, saturating at kUnreachable: a path whose length passes the
+  /// top of the range reaches nothing, in push and in pull alike. A sum
+  /// wrapped past 2^32 is smaller than dist (the add's carry).
+  static uint32_t Candidate(uint32_t dist, Weight w) {
+    const uint32_t offer = dist + w;
+    return offer < dist ? kUnreachable : offer;
+  }
   static constexpr bool Improves(uint32_t a, uint32_t b) { return a < b; }
 
   explicit SsspRule(const GraphView& view) : view_(view) {}
@@ -263,11 +268,8 @@ class SsspRule {
   /// query, and only by queries that actually pull.
   uint32_t PullPotential(VertexId u, uint32_t dist) const {
     std::call_once(min_out_once_, [this] { BuildMinOutWeights(); });
-    const uint32_t min_w = min_out_w_[u];
-    if (min_w == kUnreachable) return kUnreachable;  // no out-edges: no offer
-    const uint64_t offer = static_cast<uint64_t>(dist) + min_w;
-    return offer >= kUnreachable ? kUnreachable
-                                 : static_cast<uint32_t>(offer);
+    // A vertex with no out-edges keeps min_w = kUnreachable: no offer.
+    return Candidate(dist, min_out_w_[u]);
   }
 
  private:

@@ -41,7 +41,9 @@ std::vector<uint32_t> ReferenceSssp(const CsrGraph& graph, VertexId source) {
     const auto wts = graph.weights(u);
     for (size_t e = 0; e < nbrs.size(); ++e) {
       const uint32_t w = wts.empty() ? 1u : wts[e];
-      const uint32_t candidate = dist + w;
+      // Saturates at kUnreachable, as the engine's SSSP does.
+      const auto candidate = static_cast<uint32_t>(std::min<uint64_t>(
+          static_cast<uint64_t>(dist) + w, kUnreachable));
       if (candidate < dists[nbrs[e]]) {
         dists[nbrs[e]] = candidate;
         heap.emplace(candidate, nbrs[e]);

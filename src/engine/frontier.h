@@ -9,8 +9,9 @@
 // are O(1) instead of an O(V/64) popcount per call — the per-iteration
 // direction decision and the convergence check read it every iteration.
 // Single activations (Activate/Deactivate) update the shared counter
-// directly. The kernels and the extra-round drain instead flip bits with
-// MarkActive/MarkInactive, tally the flips in shard-local counters, and
+// directly. The kernels, the share fold and the extra-round drain instead
+// flip bits with MarkActive/MarkWord/MarkInactive (the fold sets up to 64
+// bits with one MarkWord), tally the flips in shard-local counters, and
 // publish the tally with one AddCounts per shard, so the counter lines
 // take a handful of adds per kernel rather than an RMW per activation.
 // The counts are exact once every shard has published, i.e. after the
@@ -74,13 +75,20 @@ class Frontier {
   /// through AddCounts.
   bool MarkActive(VertexId v) { return bitmap_.TestAndSet(v); }
 
+  /// Word-wide MarkActive: sets `bits` in bitmap word w (bit i is vertex
+  /// w * kBitsPerWord + i) and returns the bits this call flipped 0 -> 1.
+  /// The caller owes the counts for the returned bits, as for MarkActive.
+  uint64_t MarkWord(uint64_t w, uint64_t bits) {
+    return bits & ~bitmap_.FetchOrWord(w, bits);
+  }
+
   /// Mirror of MarkActive: clears v's bit, true if it was set; the caller
   /// publishes the negative tally.
   bool MarkInactive(VertexId v) { return bitmap_.TestAndClear(v); }
 
-  /// Publishes one producer's tally of MarkActive/MarkInactive flips:
-  /// `active` net bits set and `scout` the net sum of their out-degrees
-  /// (both negative for a drain). Keeps the scout count exact.
+  /// Publishes one producer's tally of MarkActive/MarkWord/MarkInactive
+  /// flips: `active` net bits set and `scout` the net sum of their
+  /// out-degrees (both negative for a drain). Keeps the scout count exact.
   void AddCounts(int64_t active, int64_t scout) {
     // Two's-complement wrap: adding the unsigned image of a negative
     // delta subtracts it.

@@ -17,6 +17,7 @@
 #ifndef HYTGRAPH_ENGINE_KERNELS_H_
 #define HYTGRAPH_ENGINE_KERNELS_H_
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <concepts>
@@ -89,6 +90,13 @@ class ShardActivations {
 /// calling shard's row with a plain add, so no atomic is needed; Fold
 /// merges the rows into the program's deltas. Allocate once per run: the
 /// rows are reused across kernels and stay zero wherever they were folded.
+///
+/// Fold walks its range one 64-vertex frontier word at a time: it sums the
+/// rows' spans into a local block with branch-free adds, zeroes the spans
+/// in bulk, applies the nonzero sums, and sets the word's activations with
+/// one MarkWord. A row entry nobody wrote holds +0.0, and adding +0.0 to a
+/// partial sum is exact, so each vertex's sum is bitwise the sum of its
+/// nonzero shares in shard order: the branch-free adds change no value.
 class ShareRows {
  public:
   ShareRows() = default;
@@ -106,34 +114,57 @@ class ShareRows {
 
   /// Merges the rows over vertices [begin, end) into `program`: each
   /// vertex's shares are summed in shard order (the same sum run to run at
-  /// a fixed pool size), zeroed, and handed to Program::Apply; vertices
-  /// whose delta reached epsilon activate in `next` through
-  /// ShardActivations, so its scout count stays exact. No kernel may run
-  /// during a fold.
+  /// a fixed pool size), zeroed, and handed to Program::Apply when the sum
+  /// is nonzero; vertices whose delta reached epsilon activate in `next`.
+  /// Each fold shard reads the out-degrees of the bits it flipped and
+  /// publishes them with one AddCounts, so `next`'s scout count stays
+  /// exact. Shares outside [begin, end) stay for a later fold. No kernel
+  /// may run during a fold.
   template <typename Program>
   void Fold(const GraphView& view, VertexId begin, VertexId end,
             Program& program, Frontier* next) {
     if (begin >= end) return;
+    constexpr uint64_t kWord = Frontier::kBitsPerWord;
+    const uint64_t first_word = begin / kWord;
+    const uint64_t end_word = (static_cast<uint64_t>(end) - 1) / kWord + 1;
     ThreadPool::Default()->ParallelFor(
-        end - begin,
+        end_word - first_word,
         [&](int /*shard*/, uint64_t lo, uint64_t hi) {
-          ShardActivations activations(view, next);
-          for (uint64_t i = lo; i < hi; ++i) {
-            const VertexId v = begin + static_cast<VertexId>(i);
-            double sum = 0.0;
-            for (int r = 0; r < num_rows_; ++r) {
-              double& share =
-                  shares_[static_cast<size_t>(r) * num_vertices_ + v];
-              if (share != 0.0) {
-                sum += share;
-                share = 0.0;
+          int64_t active = 0;
+          int64_t scout = 0;
+          double sums[kWord];
+          for (uint64_t w = first_word + lo; w < first_word + hi; ++w) {
+            // The range's first and last words are clipped to it.
+            const uint64_t v0 = std::max<uint64_t>(w * kWord, begin);
+            const uint64_t v1 = std::min<uint64_t>((w + 1) * kWord, end);
+            const size_t width = v1 - v0;
+            double* span = shares_.data() + v0;
+            std::copy_n(span, width, sums);
+            std::fill_n(span, width, 0.0);
+            for (int r = 1; r < num_rows_; ++r) {
+              span += num_vertices_;
+              for (size_t i = 0; i < width; ++i) sums[i] += span[i];
+              std::fill_n(span, width, 0.0);
+            }
+            uint64_t bits = 0;
+            for (size_t i = 0; i < width; ++i) {
+              const auto v = static_cast<VertexId>(v0 + i);
+              if (sums[i] != 0.0 && program.Apply(v, sums[i])) {
+                bits |= uint64_t{1} << (v % kWord);
               }
             }
-            if (sum != 0.0 && program.Apply(v, sum)) activations.Activate(v);
+            if (bits == 0) continue;
+            bits = next->MarkWord(w, bits);
+            active += std::popcount(bits);
+            for (; bits != 0; bits &= bits - 1) {
+              const auto v = static_cast<VertexId>(
+                  w * kWord + static_cast<uint64_t>(std::countr_zero(bits)));
+              scout += static_cast<int64_t>(view.out_degree(v));
+            }
           }
-          activations.Publish();
+          if (active != 0) next->AddCounts(active, scout);
         },
-        /*min_grain=*/4096);
+        /*min_grain=*/64);  // words: 4096 vertices
   }
 
  private:

@@ -46,6 +46,16 @@ bool AtomicBitmap::Test(uint64_t i) const {
          1ULL;
 }
 
+uint64_t AtomicBitmap::FetchOrWord(uint64_t w, uint64_t bits) {
+  HYT_CHECK_LT(w, words_.size());
+  std::atomic<uint64_t>& word = words_[w];
+  // Cheap read first, as in TestAndSet: a word whose bits are all set
+  // already skips the RMW.
+  const uint64_t seen = word.load(std::memory_order_relaxed);
+  if ((bits & ~seen) == 0) return seen;
+  return word.fetch_or(bits, std::memory_order_relaxed);
+}
+
 void AtomicBitmap::ClearAll() {
   for (auto& w : words_) w.store(0, std::memory_order_relaxed);
 }

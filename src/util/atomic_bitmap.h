@@ -38,6 +38,12 @@ class AtomicBitmap {
 
   bool Test(uint64_t i) const;
 
+  /// Atomically ORs `bits` into word w, whose bit i is bitmap index
+  /// w * kBitsPerWord + i; no set bit may lie at or beyond size(). Returns
+  /// the word's value before the OR, so `bits & ~old` are the bits this
+  /// call set.
+  uint64_t FetchOrWord(uint64_t w, uint64_t bits);
+
   /// Clears all bits (not thread safe vs concurrent setters).
   void ClearAll();
 

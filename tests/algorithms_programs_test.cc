@@ -9,8 +9,12 @@
 #include <limits>
 #include <memory>
 #include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "algorithms/atomic_ops.h"
+#include "algorithms/reference.h"
+#include "core/engine.h"
 #include "engine/kernels.h"
 #include "graph/graph_builder.h"
 #include "test_graphs.h"
@@ -184,6 +188,28 @@ TYPED_TEST(SelectionPullHooksTest, HooksBoundEveryOffer) {
     EXPECT_EQ(sssp.PullPotential(0), kMax - 5);
     EXPECT_EQ(sssp.PullPotential(1), kUnreachable);
     EXPECT_EQ(sssp.PullPotential(2), kUnreachable);  // unreached
+    // The offer over 1 -> 2 saturates too: a wrapped one (4) would be a
+    // push-only improvement that pull's floor calls settled.
+    EXPECT_EQ(Rule::Candidate(kMax - 5, 10), kUnreachable);
+    const std::vector<uint32_t> reference = ReferenceSssp(*chain, 0);
+    Engine engine(std::move(*chain));
+    Query query;
+    query.algorithm = AlgorithmId::kSssp;
+    query.source = 0;
+    std::vector<std::vector<uint32_t>> runs;
+    for (TraversalDirection direction :
+         {TraversalDirection::kPush, TraversalDirection::kPull,
+          TraversalDirection::kAuto}) {
+      SolverOptions options = SolverOptions::Defaults(SystemKind::kHyTGraph);
+      options.direction = direction;
+      auto result = engine.Run(query, options);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      runs.push_back(result->u32());
+    }
+    EXPECT_EQ(runs[0], (std::vector<uint32_t>{0, kMax - 5, kUnreachable}));
+    EXPECT_EQ(reference, runs[0]);
+    EXPECT_EQ(runs[1], runs[0]);
+    EXPECT_EQ(runs[2], runs[0]);
   }
 }
 

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <bit>
 #include <thread>
+#include <vector>
 
 namespace hytgraph {
 namespace {
@@ -154,6 +157,41 @@ TEST(FrontierTest, ConcurrentProducersPublishExactTotals) {
   for (VertexId v = 0; v < f.num_vertices(); ++v) expected_scout += v % 5;
   EXPECT_EQ(f.CountActive(), f.num_vertices());
   EXPECT_EQ(f.ScoutCount(), expected_scout);
+}
+
+TEST(FrontierTest, MarkWordReturnsOnlyTheBitsItSet) {
+  Frontier f(200);  // words 0..3; word 3 holds vertices 192..199
+  EXPECT_TRUE(f.MarkActive(65));
+  // Vertices 64, 65 and 69: 65 was set already.
+  const uint64_t bits = (1ULL << 0) | (1ULL << 1) | (1ULL << 5);
+  EXPECT_EQ(f.MarkWord(1, bits), (1ULL << 0) | (1ULL << 5));
+  EXPECT_EQ(f.MarkWord(1, bits), 0u);  // every bit set already
+  EXPECT_EQ(f.MarkWord(3, 1ULL << 7), 1ULL << 7);
+  EXPECT_EQ(f.Collect(), (std::vector<VertexId>{64, 65, 69, 199}));
+  EXPECT_EQ(f.CountActive(), 0u);  // counted only through AddCounts
+}
+
+TEST(FrontierTest, ConcurrentMarkWordsSetEachBitOnce) {
+  // Eight producers OR overlapping masks into every word; each bit is
+  // reported as flipped by exactly one of them.
+  Frontier f(1 << 12);
+  const uint64_t words = f.num_vertices() / Frontier::kBitsPerWord;
+  std::atomic<uint64_t> flipped{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 8; ++t) {
+    threads.emplace_back([&, t] {
+      const uint64_t mask = 0x0F0F0F0F0F0F0F0FULL << (t % 5);
+      uint64_t local = 0;
+      for (uint64_t w = 0; w < words; ++w) {
+        local += std::popcount(f.MarkWord(w, mask));
+        local += std::popcount(f.MarkWord(w, ~mask));
+      }
+      flipped.fetch_add(local);
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(flipped.load(), f.num_vertices());
+  EXPECT_EQ(f.Collect().size(), f.num_vertices());
 }
 
 }  // namespace

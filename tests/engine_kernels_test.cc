@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <utility>
@@ -370,6 +372,79 @@ TEST(KernelCountsTest, PullKernelKeepsTheScoutCountExact) {
     std::swap(current, next);
     next->Clear();
   }
+}
+
+// --- Word-wide share fold --------------------------------------------------
+// ShareRows::Fold walks 64-vertex frontier words and clips the range's
+// first and last words to it, so a range cut mid-word folds exactly the
+// vertices inside it and leaves its neighbours' shares for a later fold.
+
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
+TEST(ShareRowsFoldTest, FoldsInPiecesAsInOneRange) {
+  auto base = std::make_shared<const CsrGraph>(testing::SmallRmat(13));
+  const GraphView view = DeltaView(base);
+  ASSERT_TRUE(view.has_overlay());
+  const VertexId n = view.num_vertices();
+  ASSERT_GT(n, 4099u);
+
+  // Two copies of one state: a PR program whose first kernel pushed every
+  // vertex's shares into the rows (the kernel activates nothing itself).
+  PageRankProgram whole(view), pieces(view);
+  ShareRows whole_rows(n), piece_rows(n);
+  Frontier seed(view), whole_next(view), piece_next(view);
+  whole.InitFrontier(&seed);
+  const std::vector<VertexId> actives = seed.Collect();
+  RunKernel(view, actives, whole, &whole_next, &whole_rows);
+  RunKernel(view, actives, pieces, &piece_next, &piece_rows);
+  ASSERT_TRUE(whole_next.Empty());
+  ASSERT_TRUE(piece_next.Empty());
+  std::vector<uint64_t> before(n);
+  for (VertexId v = 0; v < n; ++v) before[v] = Bits(pieces.DeltaOf(v));
+
+  whole_rows.Fold(view, 0, n, whole, &whole_next);
+
+  // A partition-range fold touches only its own vertices.
+  piece_rows.Fold(view, 37, 101, pieces, &piece_next);
+  for (VertexId v = 0; v < n; ++v) {
+    if (v >= 37 && v < 101) continue;
+    ASSERT_EQ(Bits(pieces.DeltaOf(v)), before[v]) << "vertex " << v;
+  }
+  const std::vector<VertexId> inside = piece_next.Collect();
+  ASSERT_FALSE(inside.empty());
+  EXPECT_GE(inside.front(), 37u);
+  EXPECT_LT(inside.back(), 101u);
+  ExpectCountsMatchBitmap(view, piece_next, "fold [37, 101)");
+
+  // The rest of [0, n) in pieces cut inside words; [37, 101) is folded
+  // again, with nothing left in its span.
+  const VertexId cuts[] = {0, 37, 101, 4099, n};
+  for (size_t i = 0; i + 1 < std::size(cuts); ++i) {
+    piece_rows.Fold(view, cuts[i], cuts[i + 1], pieces, &piece_next);
+  }
+
+  for (VertexId v = 0; v < n; ++v) {
+    ASSERT_EQ(Bits(pieces.DeltaOf(v)), Bits(whole.DeltaOf(v)))
+        << "vertex " << v;
+  }
+  EXPECT_EQ(piece_next.Collect(), whole_next.Collect());
+  EXPECT_EQ(piece_next.CountActive(), whole_next.CountActive());
+  EXPECT_GT(whole_next.CountActive(), 4u * 64u);
+  ExpectCountsMatchBitmap(view, whole_next, "whole fold");
+  ExpectCountsMatchBitmap(view, piece_next, "piecewise fold");
+  EXPECT_EQ(piece_next.ScoutCount(), whole_next.ScoutCount());
+
+  // Both folds zeroed every share: a second fold applies nothing.
+  const std::vector<double> folded = whole.Values();
+  whole_rows.Fold(view, 0, n, whole, &whole_next);
+  piece_rows.Fold(view, 0, n, pieces, &piece_next);
+  const std::vector<double> refolded = whole.Values();
+  for (VertexId v = 0; v < n; ++v) {
+    ASSERT_EQ(Bits(refolded[v]), Bits(folded[v])) << "vertex " << v;
+    ASSERT_EQ(Bits(pieces.DeltaOf(v)), Bits(whole.DeltaOf(v)))
+        << "vertex " << v;
+  }
+  EXPECT_EQ(piece_next.CountActive(), whole_next.CountActive());
 }
 
 }  // namespace
